@@ -10,15 +10,14 @@ from .monoid import (
     direct_product,
     enumerate_submonoids,
     full_transformation_monoid,
+    group_verdict,
     is_dedekind_finite,
-    is_group,
     load_monoid,
     monoid_from_dict,
     monoid_to_dict,
-    multiply,
     restrict_to_submonoid,
     submonoid_closure,
-    subset_is_group,
+    subset_group_verdict,
     validate_monoid,
 )
 from .relations import (
@@ -30,10 +29,10 @@ from .relations import (
     syntactic_congruence,
     syntactic_preorder,
     syntactic_reflexive_relation,
+    witness_json,
     zero_class,
 )
 from .clots import (
-    PropertyVerdict,
     homogeneity,
     interleaved_insertion_bounded,
     is_clot,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .relations import Verdict
 
@@ -60,13 +60,6 @@ Y = BicyclicElement(1, 0)
 def bmul(e1: BicyclicElement, e2: BicyclicElement) -> BicyclicElement:
     return BicyclicElement(e1.n + max(e2.n - e1.m, 0),
                            e2.m + max(e1.m - e2.n, 0))
-
-
-def bpow(e: BicyclicElement, k: int) -> BicyclicElement:
-    out = ONE
-    for _ in range(k):
-        out = bmul(out, e)
-    return out
 
 
 def parse_element(text: str) -> BicyclicElement:
@@ -188,26 +181,12 @@ def b_rm_related(a: BicyclicElement, b: BicyclicElement,
         left, right = fam.member(m)
         prod = bmul(bmul(left, b), right)
         if prod not in M:
-            return Verdict(False, {"x": left, "y": right, "product": prod})
+            return Verdict(False,
+                           witness={"x": left, "y": right, "product": prod})
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class BoundedVerdict:
-    """Verdict of a bounded scan: refutations are exact, passes are not."""
-
-    holds: bool
-    bound: int
-    bounded: bool
-    witness: Optional[dict] = None
-    note: str = ""
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def b_unit_insertion_condition(M: ResidueSubmonoid,
-                               bound: int) -> BoundedVerdict:
+def b_unit_insertion_condition(M: ResidueSubmonoid, bound: int) -> Verdict:
     """x^k * u * y^k in M for every u in M, scanning u with exponents up to
     the bound.  For u = y^a x^b the product is constant for k >= a, so the
     k-scan per u is exact."""
@@ -223,10 +202,11 @@ def b_unit_insertion_condition(M: ResidueSubmonoid,
                 yk = BicyclicElement(k, 0)
                 prod = bmul(bmul(xk, u), yk)
                 if prod not in M:
-                    return BoundedVerdict(False, bound, False,
-                                          {"u": u, "k": k, "product": prod})
-    return BoundedVerdict(True, bound, True,
-                          note=f"members scanned up to exponent {bound}")
+                    return Verdict(False, witness={"u": u, "k": k,
+                                                   "product": prod},
+                                   bound=bound)
+    return Verdict(True, "bounded", bound=bound,
+                   note=f"members scanned up to exponent {bound}")
 
 
 def _bounded_elements(bound: int) -> list[BicyclicElement]:
@@ -263,19 +243,19 @@ def b_internality_counterexamples(M: ResidueSubmonoid,
                            "product": second}
 
 
-def b_internality_search(M: ResidueSubmonoid, bound: int) -> BoundedVerdict:
+def b_internality_search(M: ResidueSubmonoid, bound: int) -> Verdict:
     """Bounded search for a compatibility failure of the reflexive syntactic
     relation; returns the first counterexample or a bounded pass."""
     if bound < 1:
         raise BicyclicError("bound must be >= 1")
     for ce in b_internality_counterexamples(M, bound):
-        return BoundedVerdict(False, bound, False, ce)
-    return BoundedVerdict(True, bound, True,
-                          note=f"no failure with exponents <= {bound}")
+        return Verdict(False, witness=ce, bound=bound)
+    return Verdict(True, "bounded", bound=bound,
+                   note=f"no failure with exponents <= {bound}")
 
 
 def b_interleaved_insertion_bounded(M: ResidueSubmonoid, nmax: int,
-                                    bound: int) -> BoundedVerdict:
+                                    bound: int) -> Verdict:
     """Bounded check that factorizations of 1 absorb interleaved members.
 
     Whenever a1*...*a(n+1) = 1 every prefix product is a power of x (the
@@ -306,11 +286,11 @@ def b_interleaved_insertion_bounded(M: ResidueSubmonoid, nmax: int,
                         seen.add(state)
                         new.add(state)
                     if k2 == 0 and state[1] not in M:
-                        return BoundedVerdict(
-                            False, bound, False,
-                            {"n": level, "value": state[1]})
+                        return Verdict(False, bound=bound,
+                                       witness={"n": level,
+                                                "value": state[1]})
         frontier = new
         if not frontier:
             break
-    return BoundedVerdict(True, bound, True,
-                          note=f"n<={nmax}, exponents<={bound}")
+    return Verdict(True, "bounded", bound=bound,
+                   note=f"n<={nmax}, exponents<={bound}")

@@ -22,8 +22,7 @@ stated bound) or "n/a" (not computed for this kind of pair).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -42,9 +41,11 @@ from .monoid import (
     subset_group_verdict,
 )
 from .relations import (
+    Verdict,
     as_subset,
     is_internal,
     syntactic_reflexive_relation,
+    witness_json,
     zero_class,
 )
 
@@ -66,41 +67,28 @@ IMPLICATIONS = (
 
 
 @dataclass(frozen=True)
-class FlagVerdict:
-    holds: Optional[bool]
-    mode: str = "exact"            # "exact" | "bounded" | "n/a"
-    witness: Optional[dict] = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
     pair: str
-    flags: dict[str, FlagVerdict]
+    flags: dict[str, Verdict]
     m_is_group: Optional[bool]
 
     def holds(self, name: str) -> Optional[bool]:
         return self.flags[name].holds
 
 
-def _exact(holds: bool, witness: Optional[dict] = None,
-           note: str = "") -> FlagVerdict:
-    return FlagVerdict(holds, "exact", witness, note)
+NOT_COMPUTED = Verdict(None, "n/a")
 
 
-NOT_COMPUTED = FlagVerdict(None, "n/a")
-
-
-def flag_and(f1: FlagVerdict, f2: FlagVerdict) -> FlagVerdict:
+def flag_and(f1: Verdict, f2: Verdict) -> Verdict:
     """Three-valued conjunction; a definite False wins over n/a."""
     if f1.holds is False:
-        return FlagVerdict(False, f1.mode, f1.witness, f1.note)
+        return f1
     if f2.holds is False:
-        return FlagVerdict(False, f2.mode, f2.witness, f2.note)
+        return f2
     if f1.holds is None or f2.holds is None:
         return NOT_COMPUTED
     mode = "bounded" if "bounded" in (f1.mode, f2.mode) else "exact"
-    return FlagVerdict(True, mode)
+    return Verdict(True, mode)
 
 
 def pair_name(m: FiniteMonoid, subset) -> str:
@@ -115,49 +103,28 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
 
 @lru_cache(maxsize=None)
 def _classify_pair(m: FiniteMonoid, sub: frozenset) -> ClassificationReport:
-    flags: dict[str, FlagVerdict] = {"C": _exact(True)}
-
     rm = syntactic_reflexive_relation(m, sub)
-    internal = is_internal(rm)
-    flags["C1"] = _exact(internal.holds, internal.witness)
-
-    transfer = unit_transfer_condition(m, sub)
-    flags["C2"] = _exact(transfer.holds, transfer.witness)
-
-    dedekind = is_dedekind_finite(m)
-    flags["C3"] = _exact(dedekind.holds, dedekind.witness)
-
-    a_group = group_verdict(m)
-    flags["C4"] = _exact(a_group.holds, a_group.witness)
-
-    m_group = subset_group_verdict(m, sub)
-    flags["C5"] = flag_and(flags["C4"], _exact(m_group.holds, m_group.witness))
-
     zc = zero_class(rm)
-    if zc == sub:
-        flags["C0"] = _exact(True)
-    else:
-        flags["C0"] = _exact(False, {"u": min(zc ^ sub)})
-
-    clot = is_clot(m, sub)
-    flags["C0.5"] = _exact(clot.holds, clot.witness)
-
+    m_group = subset_group_verdict(m, sub)
+    # finite flags keep no note: the report gives verdicts and witnesses
+    flags: dict[str, Verdict] = {
+        "C": Verdict(True),
+        "C1": is_internal(rm),
+        "C2": replace(unit_transfer_condition(m, sub), note=""),
+        "C3": is_dedekind_finite(m),
+        "C4": group_verdict(m),
+        "C0": (Verdict(True) if zc == sub
+               else Verdict(False, witness={"u": min(zc ^ sub)})),
+        "C0.5": replace(is_clot(m, sub), note=""),
+        "D": replace(is_positive_cone(m, sub), note=""),
+        "Dr": replace(homogeneity(m, sub, "right"), note=""),
+        "Dl": replace(homogeneity(m, sub, "left"), note=""),
+        "normal": replace(is_normal_submonoid(m, sub), note=""),
+    }
+    flags["C5"] = flag_and(flags["C4"], m_group)
+    flags["Dh"] = flag_and(flags["Dr"], m_group)
     for i in range(1, 6):
         flags[f"C({i},0)"] = flag_and(flags[f"C{i}"], flags["C0"])
-
-    cone = is_positive_cone(m, sub)
-    flags["D"] = _exact(cone.holds, cone.witness)
-
-    right = homogeneity(m, sub, "right")
-    left = homogeneity(m, sub, "left")
-    flags["Dr"] = _exact(right.holds, right.witness)
-    flags["Dl"] = _exact(left.holds, left.witness)
-    flags["Dh"] = flag_and(flags["Dr"],
-                           _exact(m_group.holds, m_group.witness))
-
-    normal = is_normal_submonoid(m, sub)
-    flags["normal"] = _exact(normal.holds, normal.witness)
-
     return ClassificationReport(pair_name(m, sub), flags, m_group.holds)
 
 
@@ -168,43 +135,35 @@ def classify_bicyclic(M: bc.ResidueSubmonoid,
     Refutations from the bounded scans are exact; bounded passes are
     labelled as such; flags without a procedure here stay n/a.
     """
-    flags: dict[str, FlagVerdict] = {"C": _exact(True)}
+    flags: dict[str, Verdict] = {"C": Verdict(True)}
 
     # the generator pair x, y has xy = 1 but yx = yx != 1
     assert bc.bmul(bc.X, bc.Y) == bc.ONE and bc.bmul(bc.Y, bc.X) != bc.ONE
     unit_witness = {"x": bc.X, "y": bc.Y}
-    flags["C3"] = _exact(False, unit_witness,
-                         "xy = 1 but yx differs from 1")
-    flags["C4"] = _exact(False, unit_witness,
-                         "a group would force yx = 1 from xy = 1")
+    flags["C3"] = Verdict(False, witness=unit_witness,
+                          note="xy = 1 but yx differs from 1")
+    flags["C4"] = Verdict(False, witness=unit_witness,
+                          note="a group would force yx = 1 from xy = 1")
     # every residue submonoid contains the non-invertible element x^q
     m_group = False
-    flags["C5"] = _exact(False, {"a": bc.BicyclicElement(0, M.q)},
-                         "contains a non-invertible power of x")
+    flags["C5"] = Verdict(False, witness={"a": bc.BicyclicElement(0, M.q)},
+                          note="contains a non-invertible power of x")
 
     if M.is_full:
-        flags["C0"] = _exact(True, note="the whole monoid")
-        flags["C1"] = _exact(True, note="relation is total")
-        flags["C2"] = _exact(True, note="all products land in the monoid")
-        flags["C0.5"] = _exact(True, note="zero-class of the total relation")
-        flags["D"] = _exact(True, note="zero-class of the total preorder")
-        flags["normal"] = _exact(True, note="zero-class of the total congruence")
+        flags["C0"] = Verdict(True, note="the whole monoid")
+        flags["C1"] = Verdict(True, note="relation is total")
+        flags["C2"] = Verdict(True, note="all products land in the monoid")
+        flags["C0.5"] = Verdict(True, note="zero-class of the total relation")
+        flags["D"] = Verdict(True, note="zero-class of the total preorder")
+        flags["normal"] = Verdict(True,
+                                  note="zero-class of the total congruence")
     else:
-        search = bc.b_internality_search(M, bound)
-        if search.holds:
-            flags["C1"] = FlagVerdict(True, "bounded", None, search.note)
-        else:
-            witness = {k: v for k, v in search.witness.items()}
-            flags["C1"] = _exact(False, witness)
-        insertion = bc.b_unit_insertion_condition(M, bound)
-        if insertion.holds:
-            flags["C0"] = FlagVerdict(True, "bounded", None, insertion.note)
-        else:
-            flags["C0"] = _exact(False, insertion.witness)
+        flags["C1"] = bc.b_internality_search(M, bound)
+        flags["C0"] = bc.b_unit_insertion_condition(M, bound)
         if flags["C0"].holds is False:
-            flags["C0.5"] = _exact(False, flags["C0"].witness,
-                                   "a clot would satisfy the zero-class "
-                                   "condition")
+            flags["C0.5"] = Verdict(False, witness=flags["C0"].witness,
+                                    note="a clot would satisfy the "
+                                         "zero-class condition")
         else:
             flags["C0.5"] = NOT_COMPUTED
         flags["C2"] = NOT_COMPUTED
@@ -213,7 +172,7 @@ def classify_bicyclic(M: bc.ResidueSubmonoid,
 
     flags["Dr"] = NOT_COMPUTED
     flags["Dl"] = NOT_COMPUTED
-    flags["Dh"] = flag_and(flags["Dr"], _exact(m_group))
+    flags["Dh"] = flag_and(flags["Dr"], Verdict(m_group))
 
     for i in range(1, 6):
         flags[f"C({i},0)"] = flag_and(flags[f"C{i}"], flags["C0"])
@@ -243,25 +202,11 @@ def check_consistency(report: ClassificationReport) -> list[str]:
     return violations
 
 
-def _json_value(value, labeler):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return labeler(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v, labeler) for v in value]
-    return str(value)
-
-
-def witness_json(witness: Optional[dict], labeler) -> Optional[dict]:
-    if witness is None:
-        return None
-    return {k: _json_value(v, labeler) for k, v in witness.items()}
-
-
 def report_json(report: ClassificationReport,
                 monoid: Optional[FiniteMonoid] = None) -> dict:
-    labeler = (lambda i: monoid.labels[i]) if monoid else str
+    """Wire form of a report; witness elements are labelled by the monoid
+    when it is given, else by their str."""
+    labeler = monoid.labels.__getitem__ if monoid else str
     flags = {}
     for name in FLAG_ORDER:
         f = report.flags[name]
@@ -272,8 +217,3 @@ def report_json(report: ClassificationReport,
             entry["note"] = f.note
         flags[name] = entry
     return {"pair": report.pair, "flags": flags}
-
-
-def report_to_json_str(report: ClassificationReport,
-                       monoid: Optional[FiniteMonoid] = None) -> str:
-    return json.dumps(report_json(report, monoid), indent=2, sort_keys=True)

@@ -12,13 +12,7 @@ import json
 import sys
 
 from . import bicyclic as bc
-from .classify import (
-    FLAG_ORDER,
-    check_consistency,
-    classify_pair,
-    report_json,
-    witness_json,
-)
+from .classify import FLAG_ORDER, check_consistency, classify_pair, report_json
 from .clots import homogeneity, is_normal_submonoid
 from .monoid import (
     FiniteMonoid,
@@ -34,6 +28,7 @@ from .relations import (
     syntactic_congruence,
     syntactic_preorder,
     syntactic_reflexive_relation,
+    witness_json,
     zero_class,
 )
 from .search import open_question_report
@@ -45,6 +40,18 @@ RELATION_BUILDERS = {
     "pre": syntactic_preorder,
     "refl": syntactic_reflexive_relation,
 }
+
+# text forms of bicyclic witnesses, filled from their JSON form
+RM_WITNESS = "witness ({x}, {y}) product {product}"
+PAIRS = "pairs ({pair1[0]},{pair1[1]}) and ({pair2[0]},{pair2[1]}) -> "
+PRODUCT = "({product[0]},{product[1]}) [{order}]"
+# bounded bicyclic checks: (JSON key, title, text of a pass, witness text)
+BOUNDED_SECTIONS = (
+    ("unit_insertion", "unit insertion", "holds (bounded)",
+     "witness u={u} k={k} product {product}"),
+    ("internality", "compatibility", "no failure found (bounded)",
+     PAIRS + "product " + PRODUCT),
+)
 
 
 class InputError(Exception):
@@ -75,6 +82,10 @@ def _resolve_subset(m: FiniteMonoid, named: dict, selector: str) -> frozenset:
                          "nor a comma-separated index list") from None
     if not indices:
         raise InputError("empty submonoid selector")
+    bad = [i for i in sorted(indices) if not 0 <= i < m.order]
+    if bad:
+        raise InputError(f"element index {bad[0]} in submonoid {selector!r} "
+                         f"out of range for order {m.order}")
     return indices
 
 
@@ -83,12 +94,6 @@ def _mask(m: FiniteMonoid, bits: frozenset) -> SubmonoidMask:
         return SubmonoidMask(m, bits)
     except MonoidError as exc:
         raise InputError(f"not a submonoid: {exc}") from exc
-
-
-def _fmt_witness(witness, m: FiniteMonoid | None) -> str:
-    labeler = (lambda i: m.labels[i]) if m else str
-    parts = [f"{k}={v}" for k, v in witness_json(witness, labeler).items()]
-    return ", ".join(parts)
 
 
 def _print_report(report, m: FiniteMonoid) -> None:
@@ -103,7 +108,8 @@ def _print_report(report, m: FiniteMonoid) -> None:
                 cell += " (bounded)"
         line = f"  {name:<8}{cell}"
         if f.witness:
-            line += f"   witness {_fmt_witness(f.witness, m)}"
+            w = witness_json(f.witness, m.labels.__getitem__)
+            line += "   witness " + ", ".join(f"{k}={v}" for k, v in w.items())
         print(line)
     bad = check_consistency(report)
     print("consistency: " + ("ok" if not bad else "VIOLATED " + ", ".join(bad)))
@@ -140,17 +146,17 @@ def cmd_classify(args) -> int:
     return OK
 
 
+def _relation_json(m: FiniteMonoid, rel, zc) -> dict:
+    return {"kind": rel.kind, "n": m.order, "rows": rel.row_strings(),
+            "zero_class": sorted(m.labels[i] for i in zc)}
+
+
 def cmd_relation(args) -> int:
     m, named = _load(args.file)
     subset = _resolve_subset(m, named, args.submonoid)
     rel = RELATION_BUILDERS[args.kind](m, subset)
     if args.json:
-        _emit_json({"kind": rel.kind, "n": m.order,
-                    "rows": ["".join("1" if r >> b & 1 else "0"
-                                     for b in range(m.order))
-                             for r in rel.rows],
-                    "zero_class": sorted(m.labels[i]
-                                         for i in zero_class(rel))})
+        _emit_json(_relation_json(m, rel, zero_class(rel)))
     else:
         print(rel.dump())
     return OK
@@ -163,12 +169,7 @@ def cmd_closure(args) -> int:
     zc = zero_class(rel)
     is_clot = zc == mask.bits
     if args.json:
-        _emit_json({"kind": rel.kind, "n": m.order,
-                    "rows": ["".join("1" if r >> b & 1 else "0"
-                                     for b in range(m.order))
-                             for r in rel.rows],
-                    "zero_class": sorted(m.labels[i] for i in zc),
-                    "clot": is_clot})
+        _emit_json({**_relation_json(m, rel, zc), "clot": is_clot})
     else:
         print(rel.dump())
         print("zero-class: " + ", ".join(sorted(m.labels[i] for i in zc)))
@@ -182,6 +183,11 @@ def _parse_residues(text: str) -> set[tuple[int, int]]:
     if not found:
         raise InputError(f"cannot parse residues from {text!r}")
     return {(int(r), int(s)) for r, s in found}
+
+
+def _bounded_json(v) -> dict:
+    return {"holds": v.holds, "bounded": v.mode == "bounded",
+            "bound": v.bound, "witness": witness_json(v.witness)}
 
 
 def cmd_bicyclic(args) -> int:
@@ -204,20 +210,14 @@ def cmd_bicyclic(args) -> int:
         verdict = bc.b_rm_related(a, b, sub)
         out["check_rm"] = {
             "a": str(a), "b": str(b), "related": verdict.holds,
-            "witness": witness_json(verdict.witness, str),
+            "witness": witness_json(verdict.witness),
         }
     if args.condition_r:
-        v = bc.b_unit_insertion_condition(sub, args.bound)
-        out["unit_insertion"] = {
-            "holds": v.holds, "bounded": v.bounded, "bound": v.bound,
-            "witness": witness_json(v.witness, str),
-        }
+        out["unit_insertion"] = _bounded_json(
+            bc.b_unit_insertion_condition(sub, args.bound))
     if args.internality:
-        v = bc.b_internality_search(sub, args.bound)
-        out["internality"] = {
-            "holds": v.holds, "bounded": v.bounded, "bound": v.bound,
-            "witness": witness_json(v.witness, str),
-        }
+        out["internality"] = _bounded_json(
+            bc.b_internality_search(sub, args.bound))
     if args.normal_form:
         try:
             out["normal_form"] = str(bc.bword_normal_form(args.normal_form))
@@ -231,34 +231,19 @@ def cmd_bicyclic(args) -> int:
         r = out["check_rm"]
         print("true" if r["related"] else "false")
         if r["witness"]:
-            print(f"witness ({r['witness']['x']}, {r['witness']['y']}) "
-                  f"product {r['witness']['product']}")
-    if "unit_insertion" in out:
-        r = out["unit_insertion"]
-        state = "holds (bounded)" if r["holds"] else "fails"
-        print(f"unit insertion: {state}")
-        if r["witness"]:
-            print(f"  witness u={r['witness']['u']} k={r['witness']['k']} "
-                  f"product {r['witness']['product']}")
-    if "internality" in out:
-        r = out["internality"]
-        state = "no failure found (bounded)" if r["holds"] else "fails"
-        print(f"compatibility: {state}")
-        if r["witness"]:
-            w = r["witness"]
-            print(f"  pairs ({w['pair1'][0]},{w['pair1'][1]}) and "
-                  f"({w['pair2'][0]},{w['pair2'][1]}) -> "
-                  f"product ({w['product'][0]},{w['product'][1]}) "
-                  f"[{w['order']}]")
+            print(RM_WITNESS.format(**r["witness"]))
+    for key, title, passed, template in BOUNDED_SECTIONS:
+        if key in out:
+            r = out[key]
+            print(f"{title}: {passed if r['holds'] else 'fails'}")
+            if r["witness"]:
+                print("  " + template.format(**r["witness"]))
     if "normal_form" in out:
         print(f"normal form: {out['normal_form']}")
     return OK
 
 
-def _run_examples() -> tuple[list[str], bool]:
-    lines = []
-    all_ok = True
-
+def _example_bicyclic() -> tuple[list[str], bool]:
     parity = bc.parity_submonoid()
     fact1 = bc.b_rm_related(bc.parse_element("y2x1"),
                             bc.parse_element("y1x2"), parity).holds
@@ -269,46 +254,60 @@ def _run_examples() -> tuple[list[str], bool]:
              and fail.witness["y"] == bc.Y
              and fail.witness["product"] == bc.BicyclicElement(1, 1))
     search = bc.b_internality_search(parity, 2)
-    ex1 = fact1 and fact2 and fact3 and not search.holds
-    all_ok &= ex1
-    lines.append(f"Example 1 (bicyclic, parity submonoid): "
-                 f"{'PASS' if ex1 else 'FAIL'}")
-    lines.append(f"  y2x1 R y1x2: {str(fact1).lower()}")
-    lines.append(f"  y0x1 R y1x0: {str(fact2).lower()}")
-    lines.append("  y1x1 R y2x2: false  witness (y0x1, y1x0) product y1x1")
+    lines = [f"  y2x1 R y1x2: {str(fact1).lower()}",
+             f"  y0x1 R y1x0: {str(fact2).lower()}",
+             f"  y1x1 R y2x2: {str(fail.holds).lower()}"]
+    if fail.witness:
+        lines[-1] += "  " + RM_WITNESS.format(**witness_json(fail.witness))
     if not search.holds:
-        w = search.witness
-        lines.append(f"  compatibility fails at bound 2: pairs "
-                     f"({w['pair1'][0]},{w['pair1'][1]}) and "
-                     f"({w['pair2'][0]},{w['pair2'][1]}) -> "
-                     f"({w['product'][0]},{w['product'][1]}) [{w['order']}]")
+        w = witness_json(search.witness)
+        lines.append("  compatibility fails at bound 2: "
+                     + (PAIRS + PRODUCT).format(**w))
+    return lines, fact1 and fact2 and fact3 and not search.holds
 
+
+def _example_doubling() -> tuple[list[str], bool]:
     report = doubling_refutation_report(5)
-    all_ok &= report.passed
-    lines.append(f"Example 2 (doubling submonoid of Set(N,N)): "
-                 f"{'PASS' if report.passed else 'FAIL'}")
-    lines.append(f"  f*g = identity: {str(report.fg_is_identity).lower()}")
+    lines = [f"  f*g = identity: {str(report.fg_is_identity).lower()}"]
     for row in report.rows:
         lines.append(f"  f*u^{row.n}*g = {ea_to_literal(row.composite)}: "
                      f"outside the doubling submonoid")
+    return lines, report.passed
 
-    ex3_ok = True
+
+def _example_bijections() -> tuple[list[str], bool]:
+    lines = []
+    ok = True
     for k in (2, 3):
         tk, named = full_transformation_monoid(k)
         bij = named["bijections"]
         normal = is_normal_submonoid(tk, bij).holds
-        left = homogeneity(tk, bij, "left")
-        right = homogeneity(tk, bij, "right")
-        sides_fail = (not left.holds) or (not right.holds)
-        both_fail_for_t3 = k != 3 or (not left.holds and not right.holds)
-        ex3_ok &= normal and sides_fail and both_fail_for_t3
+        left = homogeneity(tk, bij, "left").holds
+        right = homogeneity(tk, bij, "right").holds
+        # some side fails for every k; both sides fail for T3
+        ok &= (normal and (not left or not right)
+               and (k != 3 or not (left or right)))
         lines.append(f"  T{k}, bijections: normal={str(normal).lower()}, "
-                     f"left homogeneous={str(left.holds).lower()}, "
-                     f"right homogeneous={str(right.holds).lower()}")
-    all_ok &= ex3_ok
-    lines.insert(len(lines) - 2,
-                 f"Example 3 (bijections of a finite set): "
-                 f"{'PASS' if ex3_ok else 'FAIL'}")
+                     f"left homogeneous={str(left).lower()}, "
+                     f"right homogeneous={str(right).lower()}")
+    return lines, ok
+
+
+EXAMPLES = (
+    ("Example 1 (bicyclic, parity submonoid)", _example_bicyclic),
+    ("Example 2 (doubling submonoid of Set(N,N))", _example_doubling),
+    ("Example 3 (bijections of a finite set)", _example_bijections),
+)
+
+
+def _run_examples() -> tuple[list[str], bool]:
+    lines = []
+    all_ok = True
+    for title, run in EXAMPLES:
+        detail, ok = run()
+        lines.append(f"{title}: {'PASS' if ok else 'FAIL'}")
+        lines.extend(detail)
+        all_ok &= ok
     return lines, all_ok
 
 

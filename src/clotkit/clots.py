@@ -7,13 +7,13 @@ lexicographically least one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .monoid import FiniteMonoid, MonoidError, inverse_table
 from .relations import (
     Relation,
+    Verdict,
     as_subset,
     internal_reflexive_closure,
     syntactic_congruence,
@@ -26,42 +26,13 @@ class NotAGroup(MonoidError):
     """Raised by checks that are only defined over groups."""
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
-    """Outcome of a universally quantified property check."""
-
-    property: str
-    holds: bool
-    witness: Optional[dict] = None
-    derivation: str = ""
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def property_verdict_json(v: PropertyVerdict,
-                          m: Optional[FiniteMonoid] = None) -> dict:
-    """Wire form {"property", "holds", "witness"?}; witness values become
-    element labels when the monoid is supplied."""
-    out: dict = {"property": v.property, "holds": v.holds}
-    if v.witness is not None:
-        def label(value):
-            if isinstance(value, int) and m is not None:
-                return m.labels[value]
-            if isinstance(value, (list, tuple)):
-                return [label(x) for x in value]
-            return value if isinstance(value, (int, bool)) else str(value)
-        out["witness"] = {k: label(x) for k, x in v.witness.items()}
-    return out
-
-
 def _unit_pairs(m: FiniteMonoid) -> list[tuple[int, int]]:
     e = m.identity
     return [(x, y) for x in range(m.order) for y in range(m.order)
             if m.table[x][y] == e]
 
 
-def unit_insertion_condition(m: FiniteMonoid, subset) -> PropertyVerdict:
+def unit_insertion_condition(m: FiniteMonoid, subset) -> Verdict:
     """xy = 1 implies x*u*y in M, for every u in M.
 
     Equivalent to M being the zero-class of the reflexive syntactic relation.
@@ -74,14 +45,12 @@ def unit_insertion_condition(m: FiniteMonoid, subset) -> PropertyVerdict:
         tx = table[x]
         for u in members:
             if table[tx[u]][y] not in sub:
-                return PropertyVerdict("unit_insertion", False,
-                                       {"x": x, "y": y, "u": u},
-                                       "scan over unit pairs")
-    return PropertyVerdict("unit_insertion", True, None,
-                           "scan over unit pairs")
+                return Verdict(False, witness={"x": x, "y": y, "u": u},
+                               note="scan over unit pairs")
+    return Verdict(True, note="scan over unit pairs")
 
 
-def unit_transfer_condition(m: FiniteMonoid, subset) -> PropertyVerdict:
+def unit_transfer_condition(m: FiniteMonoid, subset) -> Verdict:
     """xy = 1, xs in M and ty in M together imply ts in M.
 
     Sufficient for the reflexive syntactic relation to be compatible with
@@ -97,37 +66,34 @@ def unit_transfer_condition(m: FiniteMonoid, subset) -> PropertyVerdict:
         for s in good_s:
             for t in good_t:
                 if table[t][s] not in sub:
-                    return PropertyVerdict("unit_transfer", False,
-                                           {"x": x, "y": y, "s": s, "t": t},
-                                           "scan over unit pairs")
-    return PropertyVerdict("unit_transfer", True, None,
-                           "scan over unit pairs")
+                    return Verdict(False,
+                                   witness={"x": x, "y": y, "s": s, "t": t},
+                                   note="scan over unit pairs")
+    return Verdict(True, note="scan over unit pairs")
 
 
-def _zero_class_status(name: str, m: FiniteMonoid, subset,
-                       rel: Relation, derivation: str) -> PropertyVerdict:
+def _zero_class_status(m: FiniteMonoid, subset, rel: Relation,
+                       note: str) -> Verdict:
     sub = as_subset(m, subset)
     zc = zero_class(rel)
     if zc == sub:
-        return PropertyVerdict(name, True, None, derivation)
-    return PropertyVerdict(name, False, {"u": min(zc ^ sub)}, derivation)
+        return Verdict(True, note=note)
+    return Verdict(False, witness={"u": min(zc ^ sub)}, note=note)
 
 
-def is_normal_submonoid(m: FiniteMonoid, subset) -> PropertyVerdict:
+def is_normal_submonoid(m: FiniteMonoid, subset) -> Verdict:
     """M equals the zero-class of its syntactic congruence."""
-    return _zero_class_status("normal_submonoid", m, subset,
-                              syntactic_congruence(m, subset),
+    return _zero_class_status(m, subset, syntactic_congruence(m, subset),
                               "zero-class of syntactic congruence")
 
 
-def is_positive_cone(m: FiniteMonoid, subset) -> PropertyVerdict:
+def is_positive_cone(m: FiniteMonoid, subset) -> Verdict:
     """M equals the zero-class of its syntactic preorder."""
-    return _zero_class_status("positive_cone", m, subset,
-                              syntactic_preorder(m, subset),
+    return _zero_class_status(m, subset, syntactic_preorder(m, subset),
                               "zero-class of syntactic preorder")
 
 
-def is_clot(m: FiniteMonoid, subset) -> PropertyVerdict:
+def is_clot(m: FiniteMonoid, subset) -> Verdict:
     """M is the zero-class of some compatible reflexive relation.
 
     Decided via the generated closure: M is a clot iff the zero-class of
@@ -136,11 +102,10 @@ def is_clot(m: FiniteMonoid, subset) -> PropertyVerdict:
     """
     sub = as_subset(m, subset)
     zc = zero_class(internal_reflexive_closure(m, sub))
+    note = "generated reflexive-compatible closure"
     if zc == sub:
-        return PropertyVerdict("clot", True, None,
-                               "generated reflexive-compatible closure")
-    return PropertyVerdict("clot", False, {"u": min(zc - sub)},
-                           "generated reflexive-compatible closure")
+        return Verdict(True, note=note)
+    return Verdict(False, witness={"u": min(zc - sub)}, note=note)
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +151,7 @@ def _pair_reach(m: FiniteMonoid, sub: frozenset, nmax: int):
 
 
 def interleaved_insertion_bounded(m: FiniteMonoid, subset,
-                                  nmax: Optional[int] = None) -> PropertyVerdict:
+                                  nmax: Optional[int] = None) -> Verdict:
     """Bounded check that identity factorizations absorb members of M:
     whenever a1*...*a(n+1) = 1, every interleaving a1*u1*a2*...*un*a(n+1)
     with u_i in M stays in M, for all n <= nmax.
@@ -204,8 +169,8 @@ def interleaved_insertion_bounded(m: FiniteMonoid, subset,
     tag = f"pair-reachability bfs, n<={nmax}"
     if bad is None:
         if stabilized:
-            tag += f", stabilized at level {level}"
-        return PropertyVerdict("interleaved_insertion", True, None, tag)
+            return Verdict(True, note=f"{tag}, stabilized at level {level}")
+        return Verdict(True, "bounded", note=tag, bound=nmax)
     # walk parents back to a seed to reconstruct the factorization
     n = m.order
     table = m.table
@@ -226,12 +191,12 @@ def interleaved_insertion_bounded(m: FiniteMonoid, subset,
                   if table[p0][a] == p1 and r[a] == q1)
         u_seq.append(u)
         a_seq.append(a2)
-    return PropertyVerdict(
-        "interleaved_insertion", False,
-        {"n": level, "a_seq": a_seq, "u_seq": u_seq, "value": bad % n}, tag)
+    return Verdict(False, witness={"n": level, "a_seq": a_seq,
+                                   "u_seq": u_seq, "value": bad % n},
+                   note=tag)
 
 
-def homogeneity(m: FiniteMonoid, subset, side: str) -> PropertyVerdict:
+def homogeneity(m: FiniteMonoid, subset, side: str) -> Verdict:
     """Right homogeneous: aM included in Ma for all a (left: Ma in aM)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -241,20 +206,17 @@ def homogeneity(m: FiniteMonoid, subset, side: str) -> PropertyVerdict:
     for a in range(m.order):
         if side == "right":
             cone = {table[v][a] for v in members}
-            for u in members:
-                if table[a][u] not in cone:
-                    return PropertyVerdict("right_homogeneous", False,
-                                           {"a": a, "u": u}, "inclusion scan")
+            bad = next((u for u in members if table[a][u] not in cone), None)
         else:
             cone = {table[a][v] for v in members}
-            for u in members:
-                if table[u][a] not in cone:
-                    return PropertyVerdict("left_homogeneous", False,
-                                           {"a": a, "u": u}, "inclusion scan")
-    return PropertyVerdict(f"{side}_homogeneous", True, None, "inclusion scan")
+            bad = next((u for u in members if table[u][a] not in cone), None)
+        if bad is not None:
+            return Verdict(False, witness={"a": a, "u": bad},
+                           note="inclusion scan")
+    return Verdict(True, note="inclusion scan")
 
 
-def is_conjugation_closed(m: FiniteMonoid, subset) -> PropertyVerdict:
+def is_conjugation_closed(m: FiniteMonoid, subset) -> Verdict:
     """In a group: g*u*g^-1 in M for all g in the group and u in M."""
     inv = inverse_table(m)
     if inv is None:
@@ -267,10 +229,9 @@ def is_conjugation_closed(m: FiniteMonoid, subset) -> PropertyVerdict:
         tg = table[g]
         for u in members:
             if table[tg[u]][gi] not in sub:
-                return PropertyVerdict("conjugation_closed", False,
-                                       {"g": g, "u": u}, "conjugation scan")
-    return PropertyVerdict("conjugation_closed", True, None,
-                           "conjugation scan")
+                return Verdict(False, witness={"g": g, "u": u},
+                               note="conjugation scan")
+    return Verdict(True, note="conjugation scan")
 
 
 def translation_preorder(m: FiniteMonoid, subset, side: str) -> Relation:

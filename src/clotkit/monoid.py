@@ -58,16 +58,6 @@ class FiniteMonoid:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
-    def elements(self) -> range:
-        return range(len(self.table))
-
-
-def multiply(m: FiniteMonoid, a: int, b: int) -> int:
-    return m.table[a][b]
-
 
 def validate_monoid(table, identity: int, labels=None, name: str = "M",
                     cap: int = DEFAULT_ORDER_CAP) -> FiniteMonoid:
@@ -121,17 +111,23 @@ def full_transformation_monoid(k: int, cap: int = DEFAULT_ORDER_CAP):
     if n > cap:
         raise OrderCapExceeded(f"T_{k} has {n} elements, cap {cap}")
     maps = list(iter_product(range(1, k + 1), repeat=k))
+    monoid = _transformation_table(maps, k, f"T{k}")
+    bijections = frozenset(i for i, f in enumerate(maps) if len(set(f)) == k)
+    constants = frozenset(i for i, f in enumerate(maps) if len(set(f)) == 1)
+    return monoid, {"bijections": bijections, "constants": constants}
+
+
+def _transformation_table(maps: list, k: int, name: str) -> FiniteMonoid:
+    """Cayley table of maps of {1..k} that contain the identity and are
+    closed under composition, indexed in the given order and labelled by
+    their image words."""
     index = {f: i for i, f in enumerate(maps)}
     table = tuple(
         tuple(index[tuple(a[b[x] - 1] for x in range(k))] for b in maps)
         for a in maps
     )
-    identity = index[tuple(range(1, k + 1))]
     labels = tuple("".join(map(str, f)) for f in maps)
-    monoid = FiniteMonoid(table, identity, labels, f"T{k}")
-    bijections = frozenset(i for i, f in enumerate(maps) if len(set(f)) == k)
-    constants = frozenset(i for i, f in enumerate(maps) if len(set(f)) == 1)
-    return monoid, {"bijections": bijections, "constants": constants}
+    return FiniteMonoid(table, index[tuple(range(1, k + 1))], labels, name)
 
 
 def direct_product(a: FiniteMonoid, b: FiniteMonoid,
@@ -260,7 +256,7 @@ def is_dedekind_finite(m: FiniteMonoid) -> Verdict:
         tx = m.table[x]
         for y in range(m.order):
             if tx[y] == e and m.table[y][x] != e:
-                return Verdict(False, {"x": x, "y": y})
+                return Verdict(False, witness={"x": x, "y": y})
     return Verdict(True)
 
 
@@ -269,22 +265,14 @@ def group_verdict(m: FiniteMonoid) -> Verdict:
     return subset_group_verdict(m, frozenset(range(m.order)))
 
 
-def is_group(m: FiniteMonoid) -> bool:
-    return group_verdict(m).holds
-
-
 def subset_group_verdict(m: FiniteMonoid, subset) -> Verdict:
+    """Whether every element of the subset has a two-sided inverse in it."""
     bits = frozenset(getattr(subset, "bits", subset))
     e = m.identity
     for u in sorted(bits):
         if not any(m.table[u][v] == e and m.table[v][u] == e for v in bits):
-            return Verdict(False, {"a": u})
+            return Verdict(False, witness={"a": u})
     return Verdict(True)
-
-
-def subset_is_group(m: FiniteMonoid, subset) -> bool:
-    """True iff every element of the subset has a two-sided inverse in it."""
-    return subset_group_verdict(m, subset).holds
 
 
 def inverse_table(m: FiniteMonoid) -> Optional[tuple[int, ...]]:
@@ -343,14 +331,7 @@ def monoid_from_transformations(spec: TransformationSpec,
                 if h not in elems:
                     raise MonoidError(
                         f"maps not closed under composition: {f} after {g}")
-    ordered = sorted(elems)
-    index = {f: i for i, f in enumerate(ordered)}
-    table = tuple(
-        tuple(index[tuple(a[b[x] - 1] for x in range(k))] for b in ordered)
-        for a in ordered
-    )
-    labels = tuple("".join(map(str, f)) for f in ordered)
-    return FiniteMonoid(table, index[ident], labels, f"T{k}-gen")
+    return _transformation_table(sorted(elems), k, f"T{k}-gen")
 
 
 def monoid_to_dict(m: FiniteMonoid,
@@ -378,7 +359,14 @@ def monoid_from_dict(d: dict):
         if "order" in d and d["order"] != m.order:
             raise MonoidError(
                 f"declared order {d['order']} does not match table")
-        subs = {k: frozenset(v) for k, v in d.get("submonoids", {}).items()}
+        subs = {}
+        for name, indices in d.get("submonoids", {}).items():
+            bad = [i for i in indices
+                   if not (isinstance(i, int) and 0 <= i < m.order)]
+            if bad:
+                raise IndexOutOfRange(f"subset {name!r}: index {bad[0]!r} "
+                                      f"outside [0, {m.order})")
+            subs[name] = frozenset(indices)
         return m, subs
     if "domain" in d:
         spec = TransformationSpec(d["domain"],

@@ -21,16 +21,50 @@ if TYPE_CHECKING:
     from .monoid import FiniteMonoid
 
 
+MODES = ("exact", "bounded", "n/a")
+
+
 @dataclass(frozen=True)
 class Verdict:
-    """Boolean answer plus, when it is negative, a named witness."""
+    """Answer to one condition on a pair, with how it was reached.
 
-    holds: bool
+    mode is "exact" (decided), "bounded" (a pass confirmed only up to
+    `bound`) or "n/a" (not computed; then holds is None).  A failure
+    carries a witness: a dict whose values are element indices, symbolic
+    elements, or lists of them.  note says how the answer was derived.
+    """
+
+    holds: Optional[bool]
+    mode: str = "exact"
     witness: Optional[dict] = None
     note: str = ""
+    bound: Optional[int] = None
+
+    def __post_init__(self):
+        if (self.mode not in MODES
+                or (self.holds is None) != (self.mode == "n/a")):
+            raise ValueError(f"verdict {self.holds!r} with mode {self.mode!r}")
 
     def __bool__(self) -> bool:
-        return self.holds
+        return self.holds is True
+
+
+def witness_json(witness: Optional[dict], labeler=str) -> Optional[dict]:
+    """Wire form of a witness: bools stay, ints become labels through the
+    labeler, lists and tuples recurse, anything else becomes its str."""
+    if witness is None:
+        return None
+    return {k: _json_value(v, labeler) for k, v in witness.items()}
+
+
+def _json_value(value, labeler):
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return labeler(value)
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v, labeler) for v in value]
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -51,12 +85,14 @@ class Relation:
         n = len(self.rows)
         return [[bool(r >> b & 1) for b in range(n)] for r in self.rows]
 
-    def dump(self) -> str:
+    def row_strings(self) -> list[str]:
+        """Each row as a 0/1 string, character b for bit b."""
         n = len(self.rows)
-        lines = [f"relation {self.kind} n={n}"]
-        for r in self.rows:
-            lines.append("".join("1" if r >> b & 1 else "0" for b in range(n)))
-        return "\n".join(lines)
+        return [format(r, f"0{n}b")[::-1] for r in self.rows]
+
+    def dump(self) -> str:
+        return "\n".join([f"relation {self.kind} n={len(self.rows)}",
+                          *self.row_strings()])
 
 
 def _bits(x: int):
@@ -181,7 +217,8 @@ def relation_flags(rel: Relation) -> dict[str, Verdict]:
     flags: dict[str, Verdict] = {}
 
     bad = next((a for a in range(n) if not rows[a] >> a & 1), None)
-    flags["reflexive"] = Verdict(bad is None, None if bad is None else {"a": bad})
+    flags["reflexive"] = Verdict(bad is None,
+                                witness=None if bad is None else {"a": bad})
 
     sym: Optional[dict] = None
     for a in range(n):
@@ -191,7 +228,7 @@ def relation_flags(rel: Relation) -> dict[str, Verdict]:
                 break
         if sym:
             break
-    flags["symmetric"] = Verdict(sym is None, sym)
+    flags["symmetric"] = Verdict(sym is None, witness=sym)
 
     tra: Optional[dict] = None
     for a in range(n):
@@ -202,7 +239,7 @@ def relation_flags(rel: Relation) -> dict[str, Verdict]:
                 break
         if tra:
             break
-    flags["transitive"] = Verdict(tra is None, tra)
+    flags["transitive"] = Verdict(tra is None, witness=tra)
 
     left: Optional[dict] = None
     right: Optional[dict] = None
@@ -217,8 +254,8 @@ def relation_flags(rel: Relation) -> dict[str, Verdict]:
                 break
         if left and right:
             break
-    flags["left_translation"] = Verdict(left is None, left)
-    flags["right_translation"] = Verdict(right is None, right)
+    flags["left_translation"] = Verdict(left is None, witness=left)
+    flags["right_translation"] = Verdict(right is None, witness=right)
     return flags
 
 
@@ -237,7 +274,8 @@ def is_internal(rel: Relation) -> Verdict:
         tb = table[b]
         for a2, b2 in pairs:
             if not rows[ta[a2]] >> tb[b2] & 1:
-                return Verdict(False, {"a": a, "b": b, "a2": a2, "b2": b2})
+                return Verdict(False,
+                               witness={"a": a, "b": b, "a2": a2, "b2": b2})
     return Verdict(True)
 
 

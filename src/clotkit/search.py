@@ -20,6 +20,7 @@ from .monoid import (
     restrict_to_submonoid,
     submonoid_closure,
 )
+from .relations import witness_json
 
 CATEGORIES = frozenset({
     "C", "C1", "C2", "C3", "C4", "C5", "C0", "C0.5",
@@ -34,9 +35,6 @@ INCLUSIONS = frozenset({
     ("C", "C0.5"), ("C0.5", "D"), ("D", "Dr"), ("D", "Dl"),
     ("Dr", "C(4,0)"), ("Dl", "C(4,0)"),
 })
-
-# inclusions whose strictness cannot be witnessed by finite pairs
-INFINITE_ONLY = frozenset({("C", "C1"), ("C1", "C2")})
 
 
 class UnknownCategory(Exception):
@@ -219,7 +217,8 @@ def open_question_report(corpus: Optional[Corpus] = None,
     the bounded compatibility search fails.  Everything in this part is
     evidence at a stated bound, never a theorem.
     """
-    corpus = corpus or default_corpus()
+    if corpus is None:
+        corpus = default_corpus()
     violations = []
     clot_pairs = 0
     for pair in corpus:
@@ -248,14 +247,8 @@ def open_question_report(corpus: Optional[Corpus] = None,
         insertion_passes.append(sub.describe())
         search = bc.b_internality_search(sub, internality_bound)
         if not search.holds:
-            ce = search.witness
-            candidates.append({
-                "submonoid": sub.describe(),
-                "pair1": [str(ce["pair1"][0]), str(ce["pair1"][1])],
-                "pair2": [str(ce["pair2"][0]), str(ce["pair2"][1])],
-                "order": ce["order"],
-                "product": [str(ce["product"][0]), str(ce["product"][1])],
-            })
+            candidates.append({"submonoid": sub.describe(),
+                               **witness_json(search.witness)})
     bicyclic_part = {
         "moduli_bound": moduli_bound,
         "submonoids_checked": len(submonoids),

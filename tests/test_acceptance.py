@@ -16,7 +16,7 @@ from clotkit.clots import (
     is_normal_submonoid,
     unit_insertion_condition,
 )
-from clotkit.monoid import full_transformation_monoid, is_group
+from clotkit.monoid import full_transformation_monoid, group_verdict
 from clotkit.natfuncs import doubling_refutation_report, ea, ea_compose
 from clotkit.relations import (
     is_internal,
@@ -148,7 +148,7 @@ def test_criterion_5_status_suite(corpus):
             failures.append(("zero-class-inside-M", pair.name))
         if is_clot(m, pair.mask).holds != insertion:
             failures.append(("clot-vs-insertion", pair.name))
-        if is_group(m):
+        if group_verdict(m).holds:
             if is_conjugation_closed(m, pair.mask).holds != insertion:
                 failures.append(("clot-vs-conjugation", pair.name))
     assert failures == []
@@ -188,7 +188,7 @@ def test_criterion_7_hierarchy_suite(corpus):
     assert s3_report.holds("D") and not s3_report.holds("Dr")
 
     w = strictness_search(corpus, "Dr", "C(4,0)")
-    assert w is not None and not is_group(w.monoid)
+    assert w is not None and not group_verdict(w.monoid).holds
 
     # inclusions that only infinite monoids separate
     assert strictness_search(corpus, "C", "C1") is None

@@ -194,14 +194,14 @@ def test_relation_rows_at_bound_two():
 
 def test_unit_insertion_parity_witness():
     verdict = b_unit_insertion_condition(parity_submonoid(), 4)
-    assert not verdict.holds and not verdict.bounded
+    assert not verdict.holds and verdict.mode != "bounded"
     assert verdict.witness == {"u": BicyclicElement(2, 2), "k": 1,
                                "product": BicyclicElement(1, 1)}
 
 
 def test_unit_insertion_whole_monoid_bounded_pass():
     verdict = b_unit_insertion_condition(residue_submonoid(1, 1, {(0, 0)}), 5)
-    assert verdict.holds and verdict.bounded
+    assert verdict.holds and verdict.mode == "bounded"
 
 
 def test_unit_insertion_mod_three_fails():
@@ -269,7 +269,7 @@ def test_internality_counterexamples_are_genuine():
 def test_internality_search_whole_monoid_bounded_pass():
     whole = residue_submonoid(1, 1, {(0, 0)})
     verdict = b_internality_search(whole, 2)
-    assert verdict.holds and verdict.bounded
+    assert verdict.holds and verdict.mode == "bounded"
 
 
 def test_interleaved_insertion_bicyclic():

@@ -3,13 +3,12 @@ import json
 from clotkit.bicyclic import parity_submonoid, residue_submonoid
 from clotkit.classify import (
     FLAG_ORDER,
-    FlagVerdict,
     check_consistency,
     classify_bicyclic,
     classify_pair,
     report_json,
-    report_to_json_str,
 )
+from clotkit.relations import Verdict
 
 A3 = frozenset({0, 3, 4})
 SWAP12 = frozenset({0, 2})
@@ -60,7 +59,7 @@ def test_modes_all_exact_for_finite_pairs(t2):
 def test_corrupted_report_is_flagged(s3):
     report = classify_pair(s3, A3)
     broken = dict(report.flags)
-    broken["C2"] = FlagVerdict(False, "exact", {"x": 0})
+    broken["C2"] = Verdict(False, witness={"x": 0})
     corrupted = type(report)(report.pair, broken, report.m_is_group)
     assert "C3=>C2" in check_consistency(corrupted)
 
@@ -103,7 +102,7 @@ def test_bicyclic_diagonal_report_is_bounded():
 def test_report_json_round_trips(t2):
     m, named = t2
     report = classify_pair(m, named["bijections"])
-    text = report_to_json_str(report, m)
+    text = json.dumps(report_json(report, m), indent=2, sort_keys=True)
     parsed = json.loads(text)
     assert json.dumps(parsed, indent=2, sort_keys=True) == text
     assert parsed["pair"] == report.pair

@@ -99,6 +99,22 @@ def test_relation_json(t2_file, capsys):
     assert sorted(parsed["zero_class"]) == ["12", "21"]
 
 
+def test_relation_index_out_of_range(t2_file, capsys):
+    code, out, err = run(capsys, "relation", t2_file,
+                         "--submonoid", "9", "--kind", "refl")
+    assert code == 2 and out == ""
+    assert "index 9" in err and "out of range for order 4" in err
+
+
+def test_validate_rejects_out_of_range_subset(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"table": [[0]], "identity": 0,
+                                "submonoids": {"s": [5]}}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert "subset 's'" in err and "index 5" in err
+
+
 def test_closure_command(t2_file, capsys):
     code, out, _ = run(capsys, "closure", t2_file, "--submonoid", "bijections")
     assert code == 0

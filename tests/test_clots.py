@@ -12,11 +12,12 @@ from clotkit.clots import (
     unit_insertion_condition,
     unit_transfer_condition,
 )
-from clotkit.monoid import multiply, subset_is_group
+from clotkit.monoid import subset_group_verdict
 from clotkit.relations import (
     is_internal,
     relation_flags,
     syntactic_reflexive_relation,
+    witness_json,
     zero_class,
 )
 
@@ -47,8 +48,8 @@ def test_unit_insertion_condition(s3, t2):
     assert not v.holds
     assert v.witness == {"x": 1, "y": 1, "u": 2}
     x, y, u = v.witness["x"], v.witness["y"], v.witness["u"]
-    assert multiply(s3, x, y) == s3.identity and u in SWAP12
-    assert multiply(s3, multiply(s3, x, u), y) not in SWAP12
+    assert s3.mul(x, y) == s3.identity and u in SWAP12
+    assert s3.mul(s3.mul(x, u), y) not in SWAP12
 
 
 def test_unit_transfer_condition_everywhere_finite(t2, t3, s3, z4):
@@ -119,8 +120,8 @@ def test_interleaved_insertion_level_one_is_unit_insertion(s3):
     # the reconstructed factorization really multiplies to 1 and escapes M
     a1, a2 = v.witness["a_seq"]
     (u,) = v.witness["u_seq"]
-    assert multiply(s3, a1, a2) == s3.identity
-    assert multiply(s3, multiply(s3, a1, u), a2) == v.witness["value"]
+    assert s3.mul(a1, a2) == s3.identity
+    assert s3.mul(s3.mul(a1, u), a2) == v.witness["value"]
     assert v.witness["value"] not in SWAP12
 
 
@@ -155,7 +156,7 @@ def test_homogeneity_witness_is_genuine(t3):
     bij = sorted(named["bijections"])
     left = homogeneity(m, named["bijections"], "left")
     a, u = left.witness["a"], left.witness["u"]
-    assert multiply(m, u, a) not in {multiply(m, a, v) for v in bij}
+    assert m.mul(u, a) not in {m.mul(a, v) for v in bij}
 
 
 def test_translation_preorder_identity_only(t2):
@@ -187,7 +188,7 @@ def test_translation_preorder_t3_right_not_internal(t3):
 
 def test_group_plus_right_homogeneous_gives_symmetric_translation(s3, z4):
     for m, sub in ((s3, A3), (z4, frozenset({0, 2}))):
-        assert subset_is_group(m, sub)
+        assert subset_group_verdict(m, sub).holds
         assert homogeneity(m, sub, "right").holds
         rel = translation_preorder(m, sub, "right")
         assert relation_flags(rel)["symmetric"].holds
@@ -214,11 +215,13 @@ def test_invalid_side_rejected(t2):
         translation_preorder(m, named["bijections"], "down")
 
 
-def test_property_verdict_json(s3):
-    from clotkit.clots import property_verdict_json
+def test_witness_json_labels(s3):
     v = unit_insertion_condition(s3, SWAP12)
-    doc = property_verdict_json(v, s3)
-    assert doc == {"property": "unit_insertion", "holds": False,
-                   "witness": {"x": "132", "y": "132", "u": "213"}}
-    ok = property_verdict_json(unit_insertion_condition(s3, A3), s3)
-    assert ok == {"property": "unit_insertion", "holds": True}
+    assert witness_json(v.witness, s3.labels.__getitem__) == {
+        "x": "132", "y": "132", "u": "213"}
+    ok = unit_insertion_condition(s3, A3)
+    assert ok.holds and witness_json(ok.witness, s3.labels.__getitem__) is None
+    # bools stay bools, lists and tuples recurse, other values become str
+    mixed = {"flag": True, "seq": (0, [2]), "tag": "left", "ratio": 0.5}
+    assert witness_json(mixed, s3.labels.__getitem__) == {
+        "flag": True, "seq": ["123", ["213"]], "tag": "left", "ratio": "0.5"}

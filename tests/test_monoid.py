@@ -14,15 +14,14 @@ from clotkit.monoid import (
     direct_product,
     enumerate_submonoids,
     full_transformation_monoid,
+    group_verdict,
     is_dedekind_finite,
-    is_group,
     monoid_from_dict,
     monoid_from_transformations,
     monoid_to_dict,
-    multiply,
     restrict_to_submonoid,
     submonoid_closure,
-    subset_is_group,
+    subset_group_verdict,
     validate_monoid,
 )
 
@@ -73,12 +72,12 @@ def test_validate_rejects_out_of_range():
 
 def test_multiply(t2):
     z2 = validate_monoid(Z2_TABLE, 0)
-    assert multiply(z2, 1, 1) == 0
-    assert all(multiply(z2, z2.identity, a) == a for a in range(2))
+    assert z2.mul(1, 1) == 0
+    assert all(z2.mul(z2.identity, a) == a for a in range(2))
     m, _ = t2
     c1 = m.labels.index("11")
     sigma = m.labels.index("21")
-    assert multiply(m, c1, sigma) == c1  # (c1*s)(x) = c1(s(x)) is constant 1
+    assert m.mul(c1, sigma) == c1  # (c1*s)(x) = c1(s(x)) is constant 1
 
 
 def test_full_transformation_monoid_small():
@@ -204,19 +203,19 @@ def test_subset_is_group(t2):
     m, _ = t2
     sigma = m.labels.index("21")
     c1 = m.labels.index("11")
-    assert subset_is_group(m, {m.identity})
-    assert subset_is_group(m, {m.identity, sigma})
-    assert not subset_is_group(m, {m.identity, c1})
+    assert subset_group_verdict(m, {m.identity}).holds
+    assert subset_group_verdict(m, {m.identity, sigma}).holds
+    assert not subset_group_verdict(m, {m.identity, c1}).holds
 
 
 def test_is_group(s3, t2):
-    assert is_group(s3)
-    assert not is_group(t2[0])
+    assert group_verdict(s3).holds
+    assert not group_verdict(t2[0]).holds
 
 
 def test_restrict_to_submonoid(t3, s3):
     assert s3.order == 6
-    assert is_group(s3)
+    assert group_verdict(s3).holds
     validate_monoid(s3.table, s3.identity)
 
 

@@ -3,6 +3,7 @@ import pytest
 from clotkit.classify import classify_pair
 from clotkit.monoid import full_transformation_monoid
 from clotkit.search import (
+    Corpus,
     CorpusConfig,
     UnknownCategory,
     build_corpus,
@@ -94,6 +95,12 @@ def test_unknown_category_and_non_inclusions_rejected(corpus):
         strictness_search(corpus, "C9", "C1")
     with pytest.raises(UnknownCategory):
         strictness_search(corpus, "C5", "C3")  # wrong direction
+
+
+def test_open_question_report_empty_corpus():
+    report = open_question_report(Corpus((), False), moduli_bound=1)
+    assert report["finite_vacuity"]["pairs_checked"] == 0
+    assert report["finite_vacuity"]["clot_pairs"] == 0
 
 
 def test_open_question_report_small_bound(corpus):
