@@ -80,15 +80,18 @@ NOT_COMPUTED = Verdict(None, "n/a")
 
 
 def flag_and(f1: Verdict, f2: Verdict) -> Verdict:
-    """Three-valued conjunction; a definite False wins over n/a."""
+    """Three-valued conjunction; a definite False wins over n/a, and a
+    bounded pass holds up to the smaller bound of its bounded operands."""
     if f1.holds is False:
         return f1
     if f2.holds is False:
         return f2
     if f1.holds is None or f2.holds is None:
         return NOT_COMPUTED
-    mode = "bounded" if "bounded" in (f1.mode, f2.mode) else "exact"
-    return Verdict(True, mode)
+    bounds = [f.bound for f in (f1, f2) if f.mode == "bounded"]
+    if bounds:
+        return Verdict(True, "bounded", bound=min(bounds))
+    return Verdict(True)
 
 
 def pair_name(m: FiniteMonoid, subset) -> str:
@@ -215,5 +218,7 @@ def report_json(report: ClassificationReport,
             entry["witness"] = witness_json(f.witness, labeler)
         if f.note:
             entry["note"] = f.note
+        if f.bound is not None:
+            entry["bound"] = f.bound
         flags[name] = entry
     return {"pair": report.pair, "flags": flags}

@@ -54,6 +54,14 @@ BOUNDED_SECTIONS = (
 )
 
 
+# Largest --bound each command accepts, so that no argument starts work
+# without limit.  hunt: the whole command took 29 s at moduli 6, 13 s of it
+# in the bicyclic part, which grows with the moduli.  bicyclic: the
+# compatibility search grows about as bound**8 and took 208 s at bound 6 on
+# the whole monoid, so the default is also the ceiling.
+BOUND_CEILINGS = {"hunt": 6, "bicyclic": 6}
+
+
 class InputError(Exception):
     pass
 
@@ -386,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded compatibility search")
     p.add_argument("--normal-form", metavar="WORD",
                    help="reduce a word over x,y")
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=int, default=6,
+                   help="exponent bound of the scans, at most "
+                        f"{BOUND_CEILINGS['bicyclic']}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bicyclic)
 
@@ -396,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("hunt", help="clot-versus-compatibility hunt")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, default=4,
+                   help="bound on the residue moduli, at most "
+                        f"{BOUND_CEILINGS['hunt']}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hunt)
     return parser
@@ -407,6 +419,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "bound", 1) < 1 or getattr(args, "cap", 1) < 1:
         print("bounds must be positive", file=sys.stderr)
+        return BAD_INPUT
+    ceiling = BOUND_CEILINGS.get(args.command)
+    if ceiling is not None and args.bound > ceiling:
+        print(f"error: --bound {args.bound} is above the ceiling "
+              f"{ceiling} of {args.command}", file=sys.stderr)
         return BAD_INPUT
     try:
         return args.func(args)

@@ -175,29 +175,111 @@ def infinite_strictness_evidence(bound: int = 4, nmax: int = 5) -> dict:
     }
 
 
+def _residue_product_table(p: int, q: int) -> list[list[int]]:
+    """table[c1][c2]: the bitmask of residue classes that products of an
+    element of class c1 by one of class c2 fall in, class (r, s) being bit
+    r*q + s.
+
+    The product y^n1 x^m1 * y^n2 x^m2 is y^(n1 + max(d, 0)) x^(m2 +
+    max(-d, 0)) with d = n2 - m1, so its class depends only on r1, s2 and d.
+    The differences d are taken between representatives in [0, 2*lcm(p, q)),
+    the range `residue_submonoid` proves exhaustive.
+    """
+    span = 2 * lcm(p, q)
+    # for (s1, r2): the shifts d mod p with d >= 0, and -d mod q with d < 0
+    up = [[set() for _ in range(p)] for _ in range(q)]
+    down = [[set() for _ in range(p)] for _ in range(q)]
+    for m1 in range(span):
+        for n2 in range(span):
+            d = n2 - m1
+            if d >= 0:
+                up[m1 % q][n2 % p].add(d % p)
+            else:
+                down[m1 % q][n2 % p].add(-d % q)
+    classes = [(r, s) for r in range(p) for s in range(q)]
+    table = []
+    for r1, s1 in classes:
+        row = []
+        for r2, s2 in classes:
+            bits = 0
+            for a in up[s1][r2]:
+                bits |= 1 << (((r1 + a) % p) * q + s2)
+            for b in down[s1][r2]:
+                bits |= 1 << (r1 * q + (s2 + b) % q)
+            row.append(bits)
+        table.append(row)
+    return table
+
+
+def _table_closure(both: list[list[int]], bits: int, c: int) -> int:
+    """The least class set closed under the table that holds the closed set
+    `bits` and the class c; both[x][y] is the table's x*y | y*x."""
+    members = [x for x in range(len(both)) if bits >> x & 1]
+    bits |= 1 << c
+    members.append(c)
+    pending = [c]
+    while pending:
+        row = both[pending.pop()]
+        products = 0
+        for y in members:
+            products |= row[y]
+        new = products & ~bits
+        while new:
+            low = new & -new
+            new ^= low
+            bits |= low
+            z = low.bit_length() - 1
+            members.append(z)
+            pending.append(z)
+    return bits
+
+
+def _closed_residue_sets(p: int, q: int) -> list[frozenset]:
+    """Every residue set mod (p, q) that holds (0, 0) and is closed under
+    the residue product table, found by one-element extensions of closed
+    sets from the closure of {(0, 0)}, and listed in increasing order of
+    their bitmasks (class (r, s) is bit r*q + s)."""
+    table = _residue_product_table(p, q)
+    n = p * q
+    both = [[table[x][y] | table[y][x] for y in range(n)] for x in range(n)]
+    first = _table_closure(both, 0, 0)
+    seen = {first}
+    queue = [first]
+    for bits in queue:
+        for c in range(n):
+            if not bits >> c & 1:
+                grown = _table_closure(both, bits, c)
+                if grown not in seen:
+                    seen.add(grown)
+                    queue.append(grown)
+    return [frozenset(divmod(c, q) for c in range(n) if bits >> c & 1)
+            for bits in sorted(seen)]
+
+
+def _minimal_form(p: int, q: int, residues: frozenset) -> tuple:
+    """(p0, q0, residues mod (p0, q0)) for the least periods p0 | p and
+    q0 | q of the set in its y- and x-exponents.  The periods of a set are
+    intrinsic to it, so two residue presentations give the same triple
+    exactly when they define the same submonoid."""
+    p0 = next(t for t in range(1, p + 1) if p % t == 0 and all(
+        ((r + t) % p, s) in residues for r, s in residues))
+    q0 = next(t for t in range(1, q + 1) if q % t == 0 and all(
+        (r, (s + t) % q) in residues for r, s in residues))
+    return p0, q0, frozenset((r % p0, s % q0) for r, s in residues)
+
+
 def _closed_residue_submonoids(moduli_bound: int):
-    """All residue submonoids with moduli <= bound, deduplicated by their
-    membership pattern on a common grid."""
-    grid = lcm(*range(1, moduli_bound + 1))
+    """All residue submonoids with moduli <= bound, each in its first
+    presentation: by (p, q), then by the order of `_closed_residue_sets`."""
     out = []
     seen = set()
     for p in range(1, moduli_bound + 1):
         for q in range(1, moduli_bound + 1):
-            residues = [(r, s) for r in range(p) for s in range(q)
-                        if (r, s) != (0, 0)]
-            for mask in range(1 << len(residues)):
-                rset = {(0, 0)} | {residues[i] for i in range(len(residues))
-                                   if mask >> i & 1}
-                try:
-                    sub = bc.residue_submonoid(p, q, rset)
-                except bc.BicyclicError:
-                    continue
-                key = frozenset(
-                    (n, m) for n in range(grid) for m in range(grid)
-                    if bc.BicyclicElement(n, m) in sub)
+            for residues in _closed_residue_sets(p, q):
+                key = _minimal_form(p, q, residues)
                 if key not in seen:
                     seen.add(key)
-                    out.append(sub)
+                    out.append(bc.ResidueSubmonoid(p, q, residues))
     return out
 
 

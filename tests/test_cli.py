@@ -177,6 +177,29 @@ def test_bad_bound_rejected(capsys):
     assert code == 2
 
 
+def test_bicyclic_bound_above_ceiling_rejected(capsys, monkeypatch):
+    from clotkit import cli as cli_module
+
+    # the refusal comes before any scan starts
+    monkeypatch.setattr(cli_module.bc, "b_internality_search", None)
+    code, _, err = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
+                       "(0,0)", "--internality", "--bound", "100000000")
+    assert code == 2 and "--bound 100000000" in err
+    ceiling = cli_module.BOUND_CEILINGS["bicyclic"]
+    code, _, err = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
+                       "(0,0)", "--bound", str(ceiling + 1))
+    assert code == 2 and "--bound" in err
+
+
+def test_hunt_bound_above_ceiling_rejected(capsys, monkeypatch):
+    from clotkit import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "open_question_report", None)
+    ceiling = cli_module.BOUND_CEILINGS["hunt"]
+    code, _, err = run(capsys, "hunt", "--bound", str(ceiling + 1))
+    assert code == 2 and f"--bound {ceiling + 1}" in err
+
+
 def test_examples_command_passes(capsys):
     code, out, _ = run(capsys, "paper-examples")
     assert code == 0

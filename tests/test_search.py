@@ -1,11 +1,18 @@
+from itertools import product
+from math import lcm
+
 import pytest
 
+from clotkit import bicyclic as bc
 from clotkit.classify import classify_pair
 from clotkit.monoid import full_transformation_monoid
 from clotkit.search import (
     Corpus,
     CorpusConfig,
     UnknownCategory,
+    _closed_residue_sets,
+    _closed_residue_submonoids,
+    _residue_product_table,
     build_corpus,
     infinite_strictness_evidence,
     open_question_report,
@@ -116,3 +123,85 @@ def test_open_question_report_small_bound(corpus):
     assert hunt["candidates"] == []
     # the whole monoid and the diagonal pass the bounded insertion check
     assert any("(1,1)" in s for s in hunt["interleaved_insertion_passes"])
+
+
+# ------------------------------------------------- residue submonoids
+# The brute-force enumeration the product table replaced, kept as the
+# oracle: every residue set is validated by residue_submonoid, and sets
+# are told apart by their membership on a common grid.
+
+def _brute_force_residue_sets(p, q):
+    residues = [(r, s) for r in range(p) for s in range(q)
+                if (r, s) != (0, 0)]
+    out = []
+    for mask in range(1 << len(residues)):
+        rset = {(0, 0)} | {residues[i] for i in range(len(residues))
+                           if mask >> i & 1}
+        try:
+            out.append(bc.residue_submonoid(p, q, rset))
+        except bc.BicyclicError:
+            continue
+    return out
+
+
+def _brute_force_closed_residue_submonoids(moduli_bound):
+    grid = lcm(*range(1, moduli_bound + 1))
+    out = []
+    seen = set()
+    for p in range(1, moduli_bound + 1):
+        for q in range(1, moduli_bound + 1):
+            for sub in _brute_force_residue_sets(p, q):
+                key = frozenset(
+                    (n, m) for n in range(grid) for m in range(grid)
+                    if bc.BicyclicElement(n, m) in sub)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(sub)
+    return out
+
+
+def test_residue_product_table_matches_all_four_exponents():
+    for p, q in product(range(1, 4), repeat=2):
+        span = 2 * lcm(p, q)
+        expected = {}
+        for n1, m1, n2, m2 in product(range(span), repeat=4):
+            prod = bc.bmul(bc.BicyclicElement(n1, m1),
+                           bc.BicyclicElement(n2, m2))
+            c1, c2 = n1 % p * q + m1 % q, n2 % p * q + m2 % q
+            expected[c1, c2] = (expected.get((c1, c2), 0)
+                                | 1 << (prod.n % p * q + prod.m % q))
+        table = _residue_product_table(p, q)
+        assert {(c1, c2): table[c1][c2] for c1 in range(p * q)
+                for c2 in range(p * q)} == expected, (p, q)
+
+
+def test_table_closed_sets_are_the_validated_sets():
+    for p, q in product(range(1, 4), repeat=2):
+        assert _closed_residue_sets(p, q) == \
+            [sub.residues for sub in _brute_force_residue_sets(p, q)], (p, q)
+
+
+def test_closed_residue_submonoids_match_brute_force():
+    for bound in range(1, 4):
+        assert _closed_residue_submonoids(bound) == \
+            _brute_force_closed_residue_submonoids(bound), bound
+
+
+def test_closed_residue_submonoids_at_moduli_four():
+    assert [sub.describe() for sub in _closed_residue_submonoids(4)] == [
+        "mod(1,1) residues {(0,0)}",
+        "mod(2,2) residues {(0,0)}",
+        "mod(2,2) residues {(0,0),(1,1)}",
+        "mod(3,3) residues {(0,0)}",
+        "mod(3,3) residues {(0,0),(1,1)}",
+        "mod(3,3) residues {(0,0),(2,2)}",
+        "mod(3,3) residues {(0,0),(1,1),(2,2)}",
+        "mod(4,4) residues {(0,0)}",
+        "mod(4,4) residues {(0,0),(1,1)}",
+        "mod(4,4) residues {(0,0),(2,2)}",
+        "mod(4,4) residues {(0,0),(1,1),(2,2)}",
+        "mod(4,4) residues {(0,0),(3,3)}",
+        "mod(4,4) residues {(0,0),(1,1),(3,3)}",
+        "mod(4,4) residues {(0,0),(2,2),(3,3)}",
+        "mod(4,4) residues {(0,0),(1,1),(2,2),(3,3)}",
+    ]
