@@ -152,16 +152,15 @@ def classify_bicyclic(M: bc.ResidueSubmonoid,
     flags["C5"] = Verdict(False, witness={"a": bc.BicyclicElement(0, M.q)},
                           note="contains a non-invertible power of x")
 
+    flags["C1"] = bc.b_internality_search(M, bound)
     if M.is_full:
         flags["C0"] = Verdict(True, note="the whole monoid")
-        flags["C1"] = Verdict(True, note="relation is total")
         flags["C2"] = Verdict(True, note="all products land in the monoid")
         flags["C0.5"] = Verdict(True, note="zero-class of the total relation")
         flags["D"] = Verdict(True, note="zero-class of the total preorder")
         flags["normal"] = Verdict(True,
                                   note="zero-class of the total congruence")
     else:
-        flags["C1"] = bc.b_internality_search(M, bound)
         flags["C0"] = bc.b_unit_insertion_condition(M, bound)
         if flags["C0"].holds is False:
             flags["C0.5"] = Verdict(False, witness=flags["C0"].witness,

@@ -285,33 +285,28 @@ def internal_reflexive_closure(m: "FiniteMonoid", subset) -> Relation:
     return _internal_reflexive_closure(m, as_subset(m, subset))
 
 
-@lru_cache(maxsize=None)
 def _internal_reflexive_closure(m: "FiniteMonoid", sub: frozenset) -> Relation:
-    n = m.order
+    # A reflexive relation closed under products is a submonoid of A x A
+    # containing the diagonal, so the closure is the submonoid generated by
+    # the pairs (g, g) and (1, u).  Being finite, it is the right orbit of
+    # (1, 1) under those generators (Froidure & Pin, 1997): breadth-first,
+    # each new pair (a, b) is multiplied on the right by (g, g), giving
+    # (ag, bg), and by (1, u), giving (a, bu).  O(n^2 (n + |M|)) steps.
     table = m.table
-    rows = [0] * n
-    pending: list[tuple[int, int]] = []
-
-    def add(a: int, b: int) -> None:
-        if not rows[a] >> b & 1:
-            rows[a] |= 1 << b
-            pending.append((a, b))
-
-    for a in range(n):
-        add(a, a)
-    for u in sorted(sub):
-        add(m.identity, u)
-
-    i = 0
-    while i < len(pending):
-        a, b = pending[i]
-        i += 1
-        ta = table[a]
+    one = m.identity
+    others = [u for u in sorted(sub) if u != one]
+    rows = [0] * m.order
+    rows[one] = 1 << one
+    queue = [(one, one)]
+    for a, b in queue:
         tb = table[b]
-        # products with every pair already processed (including itself);
-        # later pairs will pick this one up on their own turn
-        for j in range(i):
-            a2, b2 = pending[j]
-            add(ta[a2], tb[b2])
-            add(table[a2][a], table[b2][b])
+        for c, d in zip(table[a], tb):
+            if not rows[c] >> d & 1:
+                rows[c] |= 1 << d
+                queue.append((c, d))
+        for u in others:
+            d = tb[u]
+            if not rows[a] >> d & 1:
+                rows[a] |= 1 << d
+                queue.append((a, d))
     return Relation(m, tuple(rows), "generated-closure")

@@ -266,10 +266,13 @@ def test_internality_counterexamples_are_genuine():
         assert not b_rm_related(prod[0], prod[1], parity).holds
 
 
-def test_internality_search_whole_monoid_bounded_pass():
+def test_internality_search_whole_monoid_exact_pass():
+    # the relation is total on the whole monoid, so no scan is needed
     whole = residue_submonoid(1, 1, {(0, 0)})
     verdict = b_internality_search(whole, 2)
-    assert verdict.holds and verdict.mode == "bounded"
+    assert verdict.holds and verdict.mode == "exact"
+    assert verdict.bound is None and verdict.note == "relation is total"
+    assert not list(b_internality_counterexamples(whole, 2))
 
 
 def test_interleaved_insertion_bicyclic():

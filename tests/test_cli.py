@@ -153,6 +153,18 @@ def test_bicyclic_condition_and_internality(capsys):
     assert "compatibility: fails" in out
 
 
+def test_bicyclic_whole_monoid_internality_holds(capsys):
+    code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
+                       "(0,0)", "--condition-r", "--internality")
+    assert code == 0
+    assert "unit insertion: holds (bounded)" in out
+    assert "compatibility: holds\n" in out
+    code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
+                       "(0,0)", "--internality", "--json")
+    assert json.loads(out)["internality"] == {
+        "holds": True, "bounded": False, "bound": None, "witness": None}
+
+
 def test_bicyclic_normal_form(capsys):
     code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
                        "(0,0)", "--normal-form", "yxxyyyx")

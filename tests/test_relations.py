@@ -1,6 +1,11 @@
 """The bit-matrix relations against a direct brute-force oracle."""
 
-from clotkit.monoid import cyclic_group, validate_monoid
+from clotkit.monoid import (
+    cyclic_group,
+    enumerate_submonoids,
+    full_transformation_monoid,
+    validate_monoid,
+)
 from clotkit.relations import (
     internal_reflexive_closure,
     is_internal,
@@ -214,6 +219,65 @@ def test_internal_reflexive_closure_properties(t2, s3, z4):
         assert is_internal(rel).holds
         assert relation_flags(rel)["reflexive"].holds
         assert zero_class(rel) >= frozenset(sub)
+
+
+def pair_product_closure(m, sub):
+    """The closure as a pair-product fixpoint: every pair, once added, is
+    multiplied on both sides by every pair added before it.  O(P^2) in the
+    P related pairs; the orbit search in relations must agree with it."""
+    n = m.order
+    table = m.table
+    rows = [0] * n
+    pending = []
+
+    def add(a, b):
+        if not rows[a] >> b & 1:
+            rows[a] |= 1 << b
+            pending.append((a, b))
+
+    for a in range(n):
+        add(a, a)
+    for u in sorted(sub):
+        add(m.identity, u)
+    i = 0
+    while i < len(pending):
+        a, b = pending[i]
+        i += 1
+        for j in range(i):
+            a2, b2 = pending[j]
+            add(table[a][a2], table[b][b2])
+            add(table[a2][a], table[b2][b])
+    return tuple(rows)
+
+
+def test_internal_reflexive_closure_matches_pair_product_fixpoint(
+        t2, t3, s3, z4, klein):
+    t3m = t3[0]
+    t3_masks = [mask.bits for mask in enumerate_submonoids(t3m).masks]
+    cases = [(m, mask.bits) for m in (t2[0], s3, z4, klein)
+             for mask in enumerate_submonoids(m).masks]
+    # every 35th of the 699 submonoids of T3, in enumeration order
+    cases += [(t3m, bits) for bits in t3_masks[::35]]
+    assert len(cases) == 20 + 20
+    for m, sub in cases:
+        rel = internal_reflexive_closure(m, sub)
+        assert rel.rows == pair_product_closure(m, sub), sorted(sub)
+        assert rel.kind == "generated-closure"
+
+
+def test_internal_reflexive_closure_is_recomputed_equal(t3):
+    m, named = t3
+    first = internal_reflexive_closure(m, named["bijections"])
+    second = internal_reflexive_closure(m, named["bijections"])
+    assert first == second and first is not second
+
+
+def test_internal_reflexive_closure_t4_bijections_is_a_clot():
+    t4, named = full_transformation_monoid(4)
+    bij = frozenset(named["bijections"])
+    rel = internal_reflexive_closure(t4, bij)
+    assert t4.order == 256
+    assert zero_class(rel) == bij
 
 
 def test_zero_class_of_reflexive_relation_within_submonoid(t2, s3, z4):
