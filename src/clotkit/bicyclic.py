@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .relations import Verdict
 
@@ -57,9 +57,22 @@ X = BicyclicElement(0, 1)
 Y = BicyclicElement(1, 0)
 
 
+def _mul(n1: int, m1: int, n2: int, m2: int) -> tuple[int, int]:
+    """Exponents (n, m) of y^n1 x^m1 * y^n2 x^m2, for the scans below."""
+    d = n2 - m1
+    return (n1 + d, m2) if d >= 0 else (n1, m2 - d)
+
+
 def bmul(e1: BicyclicElement, e2: BicyclicElement) -> BicyclicElement:
-    return BicyclicElement(e1.n + max(e2.n - e1.m, 0),
-                           e2.m + max(e1.m - e2.n, 0))
+    return BicyclicElement(*_mul(e1.n, e1.m, e2.n, e2.m))
+
+
+def _exponents(bound: int) -> list[tuple[int, int]]:
+    return [(n, m) for n in range(bound + 1) for m in range(bound + 1)]
+
+
+def _elements(*pairs) -> tuple[BicyclicElement, ...]:
+    return tuple(BicyclicElement(*e) for e in pairs)
 
 
 def parse_element(text: str) -> BicyclicElement:
@@ -151,9 +164,7 @@ def residue_submonoid(p: int, q: int, residues) -> ResidueSubmonoid:
     if (0, 0) not in rset:
         raise MissingIdentity("residue set must contain (0, 0)")
     sub = ResidueSubmonoid(p, q, rset)
-    bound = 2 * lcm(p, q)
-    reps = [BicyclicElement(n, m) for n in range(bound) for m in range(bound)
-            if BicyclicElement(n, m) in sub]
+    reps = [e for e in _elements(*_exponents(2 * lcm(p, q) - 1)) if e in sub]
     for e1 in reps:
         for e2 in reps:
             prod = bmul(e1, e2)
@@ -167,6 +178,18 @@ def parity_submonoid() -> ResidueSubmonoid:
     return residue_submonoid(2, 2, {(0, 0)})
 
 
+def _rm_failure(a, b, M: ResidueSubmonoid) -> Optional[int]:
+    """The first family parameter k of a's factorizations of 1 with
+    x^k * b * y^(t+k-s) outside M, a = y^s x^t, or None if a R b."""
+    (s, t), (bn, bm) = a, b
+    p, q, residues = M.p, M.q, M.residues
+    for k in range(s, max(s, bn) + 1):
+        n, m = _mul(*_mul(0, k, bn, bm), t + k - s, 0)
+        if (n % p, m % q) not in residues:
+            return k
+    return None
+
+
 def b_rm_related(a: BicyclicElement, b: BicyclicElement,
                  M: ResidueSubmonoid) -> Verdict:
     """Exact decision of the reflexive syntactic relation in the bicyclic
@@ -176,49 +199,49 @@ def b_rm_related(a: BicyclicElement, b: BicyclicElement,
     and for m >= max(s, b.n) the product X*b*Y is constant, so scanning
     m in [s, max(s, b.n)] decides the relation exactly.
     """
-    fam = one_factorizations(a)
-    for m in range(a.n, max(a.n, b.n) + 1):
-        left, right = fam.member(m)
-        prod = bmul(bmul(left, b), right)
-        if prod not in M:
-            return Verdict(False,
-                           witness={"x": left, "y": right, "product": prod})
-    return Verdict(True)
+    k = _rm_failure((a.n, a.m), (b.n, b.m), M)
+    if k is None:
+        return Verdict(True)
+    left, right = one_factorizations(a).member(k)
+    return Verdict(False, witness={"x": left, "y": right,
+                                   "product": bmul(bmul(left, b), right)})
 
 
 def b_unit_insertion_condition(M: ResidueSubmonoid, bound: int) -> Verdict:
     """x^k * u * y^k in M for every u in M, scanning u with exponents up to
     the bound.  For u = y^a x^b the product is constant for k >= a, so the
-    k-scan per u is exact."""
+    k-scan per u is exact.  The whole monoid holds every product."""
     if bound < 1:
         raise BicyclicError("bound must be >= 1")
-    for n in range(bound + 1):
-        for m in range(bound + 1):
-            u = BicyclicElement(n, m)
-            if u not in M:
-                continue
-            for k in range(n + 2):
-                xk = BicyclicElement(0, k)
-                yk = BicyclicElement(k, 0)
-                prod = bmul(bmul(xk, u), yk)
-                if prod not in M:
-                    return Verdict(False, witness={"u": u, "k": k,
-                                                   "product": prod},
-                                   bound=bound)
+    if M.is_full:
+        return Verdict(True, note="the whole monoid")
+    for u in _elements(*_exponents(bound)):
+        if u not in M:
+            continue
+        for k in range(u.n + 2):
+            prod = bmul(bmul(BicyclicElement(0, k), u), BicyclicElement(k, 0))
+            if prod not in M:
+                return Verdict(False, witness={"u": u, "k": k,
+                                               "product": prod}, bound=bound)
     return Verdict(True, "bounded", bound=bound,
                    note=f"members scanned up to exponent {bound}")
 
 
-def _bounded_elements(bound: int) -> list[BicyclicElement]:
-    return [BicyclicElement(n, m)
-            for n in range(bound + 1) for m in range(bound + 1)]
+def _related_exponents(M: ResidueSubmonoid, bound: int):
+    pairs = _exponents(bound)
+    return [(a, b) for a in pairs for b in pairs
+            if _rm_failure(a, b, M) is None]
+
+
+def _counterexample(p1, p2, order: str, a, b) -> dict:
+    return {"pair1": _elements(*p1), "pair2": _elements(*p2),
+            "order": order, "product": _elements(a, b)}
 
 
 def related_pairs_up_to(M: ResidueSubmonoid, bound: int):
     """All related ordered pairs with exponents at most the bound, in
     lexicographic order."""
-    elems = _bounded_elements(bound)
-    return [(a, b) for a in elems for b in elems if b_rm_related(a, b, M).holds]
+    return [_elements(a, b) for a, b in _related_exponents(M, bound)]
 
 
 def b_internality_counterexamples(M: ResidueSubmonoid,
@@ -229,18 +252,21 @@ def b_internality_counterexamples(M: ResidueSubmonoid,
     For each ordered pair of related pairs both product orders are tested,
     because compatibility can fail in either one.
     """
-    pairs = related_pairs_up_to(M, bound)
+    # products of exponents <= bound have exponents <= 2 * bound
+    related = _related_exponents(M, 2 * bound)
+    pairs = [(a, b) for a, b in related if max(*a, *b) <= bound]
+    related = set(related)
     for p1 in pairs:
+        (a1n, a1m), (b1n, b1m) = p1
         for p2 in pairs:
-            first = (bmul(p1[0], p2[0]), bmul(p1[1], p2[1]))
-            if not b_rm_related(first[0], first[1], M).holds:
-                yield {"pair1": p1, "pair2": p2, "order": "first*second",
-                       "product": first}
+            (a2n, a2m), (b2n, b2m) = p2
+            a, b = _mul(a1n, a1m, a2n, a2m), _mul(b1n, b1m, b2n, b2m)
+            if (a, b) not in related:
+                yield _counterexample(p1, p2, "first*second", a, b)
             if p1 != p2:
-                second = (bmul(p2[0], p1[0]), bmul(p2[1], p1[1]))
-                if not b_rm_related(second[0], second[1], M).holds:
-                    yield {"pair1": p1, "pair2": p2, "order": "second*first",
-                           "product": second}
+                a, b = _mul(a2n, a2m, a1n, a1m), _mul(b2n, b2m, b1n, b1m)
+                if (a, b) not in related:
+                    yield _counterexample(p1, p2, "second*first", a, b)
 
 
 def b_internality_search(M: ResidueSubmonoid, bound: int) -> Verdict:
@@ -267,31 +293,32 @@ def b_interleaved_insertion_bounded(M: ResidueSubmonoid, nmax: int,
     """
     if nmax < 1 or bound < 1:
         raise BicyclicError("nmax and bound must be >= 1")
-    members = [e for e in _bounded_elements(bound) if e in M]
-    steps = _bounded_elements(bound)
+    p, q, residues = M.p, M.q, M.residues
+    steps = _exponents(bound)
+    members = [(n, m) for n, m in steps if (n % p, m % q) in residues]
     kmax = 2 * bound
-    # states after a1 ... a(i+1): prefix x^k, interleaved product Q
-    frontier = {(k, BicyclicElement(0, k)) for k in range(kmax + 1)}
+    # the steps y^an x^am that take prefix x^k to x^k2 with k2 <= kmax
+    moves = [[(k - an + am, an, am) for an, am in steps
+              if an <= k and k - an + am <= kmax] for k in range(kmax + 1)]
+    # states after a1 ... a(i+1): prefix x^k, interleaved product (n, m);
+    # (k, (n, m)) hashes as (k, BicyclicElement(n, m)), so the sets iterate,
+    # and the first witness is found, in the order of the element-level scan
+    frontier = {(k, (0, k)) for k in range(kmax + 1)}
     seen = set(frontier)
     for level in range(1, nmax + 1):
         new = set()
-        for k, q in frontier:
+        for k, (qn, qm) in frontier:
             for u in members:
-                qu = bmul(q, u)
-                for a in steps:
-                    if a.n > k:
-                        continue
-                    k2 = k - a.n + a.m
-                    if k2 > kmax:
-                        continue
-                    state = (k2, bmul(qu, a))
+                qun, qum = _mul(qn, qm, *u)
+                for k2, an, am in moves[k]:
+                    state = (k2, _mul(qun, qum, an, am))
                     if state not in seen:
                         seen.add(state)
                         new.add(state)
-                    if k2 == 0 and state[1] not in M:
-                        return Verdict(False, bound=bound,
-                                       witness={"n": level,
-                                                "value": state[1]})
+                    n, m = state[1]
+                    if k2 == 0 and (n % p, m % q) not in residues:
+                        witness = {"n": level, "value": BicyclicElement(n, m)}
+                        return Verdict(False, bound=bound, witness=witness)
         frontier = new
         if not frontier:
             break

@@ -55,12 +55,11 @@ BOUNDED_SECTIONS = (
 
 
 # Largest --bound each command accepts, so that no argument starts work
-# without limit.  hunt: the whole command took 15 s at moduli 6, about 6 s
-# of it in the finite corpus; the bicyclic part grows with the moduli.
-# bicyclic: the compatibility search grows about as bound**8 and took 56 s
-# at bound 6 on mod(2,2) residues {(0,0),(1,1)}, the costliest of the
-# residue submonoids with moduli up to 6 (the whole monoid needs no scan),
-# so the default is also the ceiling.
+# without limit.  hunt: the whole command took 2.3 s at moduli 6; the
+# bicyclic part grows with the moduli.  bicyclic: the compatibility search
+# took 1.6 s at bound 6 on mod(2,2) residues {(0,0),(1,1)}, the costliest
+# of the residue submonoids with moduli up to 6 (the whole monoid needs no
+# scan), so the default is also the ceiling.
 BOUND_CEILINGS = {"hunt": 6, "bicyclic": 6}
 
 

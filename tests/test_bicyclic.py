@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,8 @@ from clotkit.bicyclic import (
     parse_element,
     residue_submonoid,
 )
+from clotkit.relations import Verdict
+from clotkit.search import _closed_residue_submonoids
 
 exponents = st.integers(min_value=0, max_value=8)
 elements = st.builds(BicyclicElement, exponents, exponents)
@@ -199,9 +203,11 @@ def test_unit_insertion_parity_witness():
                                "product": BicyclicElement(1, 1)}
 
 
-def test_unit_insertion_whole_monoid_bounded_pass():
+def test_unit_insertion_whole_monoid_exact_pass():
+    # every x^k * u * y^k lies in the whole monoid, so no scan is needed
     verdict = b_unit_insertion_condition(residue_submonoid(1, 1, {(0, 0)}), 5)
-    assert verdict.holds and verdict.mode == "bounded"
+    assert verdict.holds and verdict.mode == "exact"
+    assert verdict.bound is None and verdict.note == "the whole monoid"
 
 
 def test_unit_insertion_mod_three_fails():
@@ -287,3 +293,127 @@ def test_interleaved_insertion_bicyclic():
     # diagonal residue submonoid: insertion products preserve n - m mod 2
     diag = residue_submonoid(2, 2, {(0, 0), (1, 1)})
     assert b_interleaved_insertion_bounded(diag, 2, 4).holds
+
+
+# --------------------------------------------- element-level references
+# The scans as they were written on BicyclicElement and bmul, before they
+# ran on integer exponent pairs, kept as oracles for the integer kernels.
+
+def _reference_rm_related(a, b, M):
+    fam = one_factorizations(a)
+    for m in range(a.n, max(a.n, b.n) + 1):
+        left, right = fam.member(m)
+        prod = bmul(bmul(left, b), right)
+        if prod not in M:
+            return Verdict(False,
+                           witness={"x": left, "y": right, "product": prod})
+    return Verdict(True)
+
+
+def _reference_elements(bound):
+    return [BicyclicElement(n, m)
+            for n in range(bound + 1) for m in range(bound + 1)]
+
+
+def _reference_counterexamples(M, bound):
+    elems = _reference_elements(bound)
+    pairs = [(a, b) for a in elems for b in elems
+             if _reference_rm_related(a, b, M).holds]
+    for p1 in pairs:
+        for p2 in pairs:
+            first = (bmul(p1[0], p2[0]), bmul(p1[1], p2[1]))
+            if not _reference_rm_related(first[0], first[1], M).holds:
+                yield {"pair1": p1, "pair2": p2, "order": "first*second",
+                       "product": first}
+            if p1 != p2:
+                second = (bmul(p2[0], p1[0]), bmul(p2[1], p1[1]))
+                if not _reference_rm_related(second[0], second[1], M).holds:
+                    yield {"pair1": p1, "pair2": p2, "order": "second*first",
+                           "product": second}
+
+
+def _reference_internality_search(M, bound):
+    if M.is_full:
+        return Verdict(True, note="relation is total")
+    for ce in _reference_counterexamples(M, bound):
+        return Verdict(False, witness=ce, bound=bound)
+    return Verdict(True, "bounded", bound=bound,
+                   note=f"no failure with exponents <= {bound}")
+
+
+def _reference_interleaved(M, nmax, bound):
+    members = [e for e in _reference_elements(bound) if e in M]
+    steps = _reference_elements(bound)
+    kmax = 2 * bound
+    frontier = {(k, BicyclicElement(0, k)) for k in range(kmax + 1)}
+    seen = set(frontier)
+    for level in range(1, nmax + 1):
+        new = set()
+        for k, q in frontier:
+            for u in members:
+                qu = bmul(q, u)
+                for a in steps:
+                    if a.n > k:
+                        continue
+                    k2 = k - a.n + a.m
+                    if k2 > kmax:
+                        continue
+                    state = (k2, bmul(qu, a))
+                    if state not in seen:
+                        seen.add(state)
+                        new.add(state)
+                    if k2 == 0 and state[1] not in M:
+                        return Verdict(False, bound=bound,
+                                       witness={"n": level,
+                                                "value": state[1]})
+        frontier = new
+        if not frontier:
+            break
+    return Verdict(True, "bounded", bound=bound,
+                   note=f"n<={nmax}, exponents<={bound}")
+
+
+@pytest.fixture(scope="module")
+def residue_submonoids():
+    subs = _closed_residue_submonoids(4)
+    assert len(subs) == 15
+    return subs
+
+
+def test_rm_related_matches_element_reference(residue_submonoids):
+    elems = _reference_elements(4)
+    for sub in residue_submonoids:
+        for a in elems:
+            for b in elems:
+                assert repr(b_rm_related(a, b, sub)) == \
+                    repr(_reference_rm_related(a, b, sub)), (sub, a, b)
+
+
+def test_related_pairs_match_element_reference(residue_submonoids):
+    elems = _reference_elements(3)
+    for sub in residue_submonoids:
+        assert bc.related_pairs_up_to(sub, 3) == [
+            (a, b) for a in elems for b in elems
+            if _reference_rm_related(a, b, sub).holds], sub
+
+
+def test_internality_counterexamples_match_element_reference(
+        residue_submonoids):
+    for sub in residue_submonoids:
+        assert list(b_internality_counterexamples(sub, 2)) == \
+            list(_reference_counterexamples(sub, 2)), sub
+
+
+def test_internality_search_matches_element_reference(residue_submonoids):
+    for sub in residue_submonoids:
+        for bound in (2, 3):
+            assert repr(b_internality_search(sub, bound)) == \
+                repr(_reference_internality_search(sub, bound)), (sub, bound)
+
+
+def test_interleaved_insertion_matches_element_reference(residue_submonoids):
+    for sub in residue_submonoids:
+        for nmax, bound in ((2, 2 * lcm(sub.p, sub.q)), (1, 3)):
+            assert repr(b_interleaved_insertion_bounded(sub, nmax, bound)) \
+                == repr(_reference_interleaved(sub, nmax, bound)), \
+                (sub, nmax, bound)

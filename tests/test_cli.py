@@ -157,11 +157,25 @@ def test_bicyclic_whole_monoid_internality_holds(capsys):
     code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
                        "(0,0)", "--condition-r", "--internality")
     assert code == 0
-    assert "unit insertion: holds (bounded)" in out
+    assert "unit insertion: holds\n" in out
     assert "compatibility: holds\n" in out
     code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
                        "(0,0)", "--internality", "--json")
     assert json.loads(out)["internality"] == {
+        "holds": True, "bounded": False, "bound": None, "witness": None}
+
+
+def test_bicyclic_whole_monoid_unit_insertion_exact(capsys):
+    # every x^k * u * y^k lies in the whole monoid: an exact pass, no bound
+    code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
+                       "(0,0)", "--condition-r")
+    assert code == 0
+    assert out == ("submonoid mod(1,1) residues {(0,0)}\n"
+                   "unit insertion: holds\n")
+    code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
+                       "(0,0)", "--condition-r", "--json")
+    assert code == 0
+    assert json.loads(out)["unit_insertion"] == {
         "holds": True, "bounded": False, "bound": None, "witness": None}
 
 

@@ -73,6 +73,7 @@ CASES = {
     "bicyclic.txt": lambda: _cli(*BICYCLIC),
     "bicyclic.json": lambda: _cli(*BICYCLIC, "--json"),
     "hunt_bound2.json": lambda: _cli("hunt", "--bound", "2", "--json"),
+    "hunt_bound4.json": lambda: _cli("hunt", "--bound", "4", "--json"),
 }
 for _suffix, _extra in ((".txt", ()), (".json", ("--json",))):
     CASES[f"t2_classify{_suffix}"] = (

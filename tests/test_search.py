@@ -4,8 +4,10 @@ from math import lcm
 import pytest
 
 from clotkit import bicyclic as bc
+from clotkit import search
 from clotkit.classify import classify_pair
 from clotkit.monoid import full_transformation_monoid
+from clotkit.relations import Verdict, is_internal
 from clotkit.search import (
     Corpus,
     CorpusConfig,
@@ -123,6 +125,40 @@ def test_open_question_report_small_bound(corpus):
     assert hunt["candidates"] == []
     # the whole monoid and the diagonal pass the bounded insertion check
     assert any("(1,1)" in s for s in hunt["interleaved_insertion_passes"])
+
+
+# The finite part as it was computed before it took C1 from Dedekind
+# finiteness: every flag of every pair from classify_pair, C1 by the
+# is_internal scan.  Kept as the oracle.
+def _finite_vacuity_by_classification(corpus):
+    clot_pairs, violations = 0, []
+    for pair in corpus:
+        report = classify_pair(pair.monoid, pair.mask)
+        if report.holds("C0.5"):
+            clot_pairs += 1
+            if report.holds("C(1,0)") is not True:
+                violations.append(report.pair)
+    return clot_pairs, violations
+
+
+def test_finite_vacuity_matches_classification(corpus):
+    fin = open_question_report(corpus, moduli_bound=1)["finite_vacuity"]
+    assert (fin["clot_pairs"], fin["violations"]) == \
+        _finite_vacuity_by_classification(corpus)
+
+
+def test_finite_vacuity_falls_back_to_the_compatibility_scan(
+        corpus, monkeypatch):
+    # with the theorem withheld, C1 comes from is_internal on every clot
+    monkeypatch.setattr(search, "is_dedekind_finite",
+                        lambda m: Verdict(False))
+    scanned = []
+    monkeypatch.setattr(search, "is_internal",
+                        lambda rel: scanned.append(rel) or is_internal(rel))
+    fin = open_question_report(corpus, moduli_bound=1)["finite_vacuity"]
+    assert (fin["clot_pairs"], fin["violations"]) == \
+        _finite_vacuity_by_classification(corpus)
+    assert len(scanned) == fin["clot_pairs"]
 
 
 # ------------------------------------------------- residue submonoids
