@@ -25,7 +25,6 @@ from .relations import (
     Verdict,
     internal_reflexive_closure,
     is_internal,
-    relation_flags,
     syntactic_congruence,
     syntactic_preorder,
     syntactic_reflexive_relation,
@@ -34,13 +33,9 @@ from .relations import (
 )
 from .clots import (
     homogeneity,
-    interleaved_insertion_bounded,
     is_clot,
-    is_conjugation_closed,
     is_normal_submonoid,
     is_positive_cone,
-    translation_preorder,
-    unit_insertion_condition,
     unit_transfer_condition,
 )
 from .bicyclic import (

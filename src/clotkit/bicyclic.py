@@ -151,25 +151,28 @@ class ResidueSubmonoid:
 def residue_submonoid(p: int, q: int, residues) -> ResidueSubmonoid:
     """Validate a residue-defined subset as a submonoid.
 
-    Closure is checked over all products of representatives with exponents
-    in [0, 2*lcm(p, q)); the product formula only shifts exponents by
+    Closure is checked over all products of members with exponents in
+    [0, 2*lcm(p, q)); the product formula only shifts exponents by
     amounts determined modulo lcm(p, q), so this range is exhaustive.
+    Only the members are built, in the order of their exponents, so the
+    first failing product is the least one.
     """
     if p < 1 or q < 1:
         raise BicyclicError("moduli must be >= 1")
     rset = frozenset((int(r) % p, int(s) % q) for r, s in residues)
-    for r, s in rset:
-        if not (0 <= r < p and 0 <= s < q):
-            raise BicyclicError(f"residue ({r},{s}) outside moduli ({p},{q})")
     if (0, 0) not in rset:
         raise MissingIdentity("residue set must contain (0, 0)")
     sub = ResidueSubmonoid(p, q, rset)
-    reps = [e for e in _elements(*_exponents(2 * lcm(p, q) - 1)) if e in sub]
+    if sub.is_full:
+        return sub
+    span = 2 * lcm(p, q)
+    reps = sorted((n, m) for r, s in rset for n in range(r, span, p)
+                  for m in range(s, span, q))
     for e1 in reps:
         for e2 in reps:
-            prod = bmul(e1, e2)
-            if prod not in sub:
-                raise NotClosed(e1, e2, prod)
+            n, m = _mul(*e1, *e2)
+            if (n % p, m % q) not in rset:
+                raise NotClosed(*_elements(e1, e2, (n, m)))
     return sub
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import bicyclic as bc
@@ -41,6 +42,8 @@ RELATION_BUILDERS = {
     "refl": syntactic_reflexive_relation,
 }
 
+# one residue (r,s) of --residues
+RESIDUE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 # text forms of bicyclic witnesses, filled from their JSON form
 RM_WITNESS = "witness ({x}, {y}) product {product}"
 PAIRS = "pairs ({pair1[0]},{pair1[1]}) and ({pair2[0]},{pair2[1]}) -> "
@@ -54,13 +57,16 @@ BOUNDED_SECTIONS = (
 )
 
 
-# Largest --bound each command accepts, so that no argument starts work
-# without limit.  hunt: the whole command took 2.3 s at moduli 6; the
-# bicyclic part grows with the moduli.  bicyclic: the compatibility search
-# took 1.6 s at bound 6 on mod(2,2) residues {(0,0),(1,1)}, the costliest
-# of the residue submonoids with moduli up to 6 (the whole monoid needs no
-# scan), so the default is also the ceiling.
-BOUND_CEILINGS = {"hunt": 6, "bicyclic": 6}
+# Largest --bound each command accepts, and the largest modulus of
+# bicyclic --mod, so that no argument starts work without limit.  hunt: the
+# whole command took 2.3 s at moduli 6; the bicyclic part grows with the
+# moduli.  bicyclic: the compatibility search took 1.6 s at bound 6 on
+# mod(2,2) residues {(0,0),(1,1)}, the costliest of the residue submonoids
+# with moduli up to 6 (the whole monoid needs no scan), so the default is
+# also the ceiling.  --mod: validating a residue set multiplies its members
+# with exponents below 2*lcm(p, q), at most 4*lcm(p, q)**2 of them; moduli
+# up to 6, those the hunt reaches, keep that under 3,600.
+BOUND_CEILINGS = {"hunt": 6, "bicyclic": 6, "bicyclic --mod": 6}
 
 
 class InputError(Exception):
@@ -187,11 +193,19 @@ def cmd_closure(args) -> int:
 
 
 def _parse_residues(text: str) -> set[tuple[int, int]]:
-    import re
-    found = re.findall(r"\(?\s*(\d+)\s*,\s*(\d+)\s*\)?", text)
-    if not found:
-        raise InputError(f"cannot parse residues from {text!r}")
-    return {(int(r), int(s)) for r, s in found}
+    """Residues written (r,s),(r,s),..., optionally inside braces."""
+    body = text.strip()
+    if body.startswith("{") and body.endswith("}"):
+        body = body[1:-1]
+    residues = set()
+    # split at the commas that lie outside parentheses
+    for token in re.split(r",(?![^()]*\))", body):
+        match = RESIDUE.fullmatch(token.strip())
+        if not match:
+            raise InputError(f"bad residue {token.strip()!r} in --residues "
+                             f"{text!r}: expected (r,s) with r, s >= 0")
+        residues.add((int(match.group(1)), int(match.group(2))))
+    return residues
 
 
 def _bounded_json(v) -> dict:
@@ -205,6 +219,10 @@ def cmd_bicyclic(args) -> int:
         p, q = int(p_str), int(q_str)
     except ValueError:
         raise InputError(f"--mod expects P,Q; got {args.mod!r}") from None
+    ceiling = BOUND_CEILINGS["bicyclic --mod"]
+    if not (1 <= p <= ceiling and 1 <= q <= ceiling):
+        raise InputError(f"--mod {args.mod}: each modulus must lie in "
+                         f"1..{ceiling}, the ceiling")
     try:
         sub = bc.residue_submonoid(p, q, _parse_residues(args.residues))
     except bc.BicyclicError as exc:
@@ -420,9 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "bound", 1) < 1 or getattr(args, "cap", 1) < 1:
-        print("bounds must be positive", file=sys.stderr)
-        return BAD_INPUT
+    for flag in ("bound", "cap"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            print(f"error: --{flag} {value} must be positive",
+                  file=sys.stderr)
+            return BAD_INPUT
     ceiling = BOUND_CEILINGS.get(args.command)
     if ceiling is not None and args.bound > ceiling:
         print(f"error: --bound {args.bound} is above the ceiling "

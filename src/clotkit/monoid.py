@@ -275,19 +275,6 @@ def subset_group_verdict(m: FiniteMonoid, subset) -> Verdict:
     return Verdict(True)
 
 
-def inverse_table(m: FiniteMonoid) -> Optional[tuple[int, ...]]:
-    """Two-sided inverses of all elements, or None if some element has none."""
-    e = m.identity
-    inv = []
-    for a in range(m.order):
-        b = next((b for b in range(m.order)
-                  if m.table[a][b] == e and m.table[b][a] == e), None)
-        if b is None:
-            return None
-        inv.append(b)
-    return tuple(inv)
-
-
 @dataclass(frozen=True)
 class TransformationSpec:
     """Generating maps of {1..k}, 1-based values, optionally closed."""

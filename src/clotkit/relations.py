@@ -206,59 +206,6 @@ def zero_class(rel: Relation) -> frozenset[int]:
     return frozenset(_bits(rel.rows[rel.parent.identity]))
 
 
-def relation_flags(rel: Relation) -> dict[str, Verdict]:
-    """Decide reflexivity, symmetry, transitivity and both translation
-    stabilities by exhaustive scan; failures carry the first witness found
-    in row-major order."""
-    m = rel.parent
-    rows = rel.rows
-    table = m.table
-    n = m.order
-    flags: dict[str, Verdict] = {}
-
-    bad = next((a for a in range(n) if not rows[a] >> a & 1), None)
-    flags["reflexive"] = Verdict(bad is None,
-                                witness=None if bad is None else {"a": bad})
-
-    sym: Optional[dict] = None
-    for a in range(n):
-        for b in _bits(rows[a]):
-            if not rows[b] >> a & 1:
-                sym = {"a": a, "b": b}
-                break
-        if sym:
-            break
-    flags["symmetric"] = Verdict(sym is None, witness=sym)
-
-    tra: Optional[dict] = None
-    for a in range(n):
-        for b in _bits(rows[a]):
-            extra = rows[b] & ~rows[a]
-            if extra:
-                tra = {"a": a, "b": b, "c": (extra & -extra).bit_length() - 1}
-                break
-        if tra:
-            break
-    flags["transitive"] = Verdict(tra is None, witness=tra)
-
-    left: Optional[dict] = None
-    right: Optional[dict] = None
-    for a in range(n):
-        for b in _bits(rows[a]):
-            for c in range(n):
-                if left is None and not rows[table[c][a]] >> table[c][b] & 1:
-                    left = {"a": a, "b": b, "c": c}
-                if right is None and not rows[table[a][c]] >> table[b][c] & 1:
-                    right = {"a": a, "b": b, "c": c}
-            if left and right:
-                break
-        if left and right:
-            break
-    flags["left_translation"] = Verdict(left is None, witness=left)
-    flags["right_translation"] = Verdict(right is None, witness=right)
-    return flags
-
-
 def is_internal(rel: Relation) -> Verdict:
     """Compatibility with the product: a S b and a' S b' imply aa' S bb'.
 

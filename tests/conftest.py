@@ -3,6 +3,7 @@ import pytest
 from clotkit.monoid import (
     cyclic_group,
     direct_product,
+    enumerate_submonoids,
     full_transformation_monoid,
     restrict_to_submonoid,
 )
@@ -16,6 +17,12 @@ def t2():
 @pytest.fixture(scope="session")
 def t3():
     return full_transformation_monoid(3)
+
+
+@pytest.fixture(scope="session")
+def t3_submonoids(t3):
+    """All 699 submonoids of T3, in enumeration order."""
+    return [mask.bits for mask in enumerate_submonoids(t3[0]).masks]
 
 
 @pytest.fixture(scope="session")

@@ -8,19 +8,11 @@ from itertools import product as iter_product
 
 from clotkit import bicyclic as bc
 from clotkit.classify import check_consistency, classify_pair
-from clotkit.clots import (
-    homogeneity,
-    interleaved_insertion_bounded,
-    is_clot,
-    is_conjugation_closed,
-    is_normal_submonoid,
-    unit_insertion_condition,
-)
+from clotkit.clots import homogeneity, is_clot, is_normal_submonoid
 from clotkit.monoid import full_transformation_monoid, group_verdict
 from clotkit.natfuncs import doubling_refutation_report, ea, ea_compose
 from clotkit.relations import (
     is_internal,
-    relation_flags,
     syntactic_congruence,
     syntactic_preorder,
     syntactic_reflexive_relation,
@@ -30,6 +22,12 @@ from clotkit.search import (
     infinite_strictness_evidence,
     open_question_report,
     strictness_search,
+)
+from finite_oracles import (
+    interleaved_insertion_bounded,
+    is_conjugation_closed,
+    relation_flags,
+    unit_insertion_condition,
 )
 
 

@@ -139,6 +139,36 @@ def test_residue_submonoid_validation():
         residue_submonoid(2, 2, {(0, 0), (1, 0)})
 
 
+def test_residue_submonoid_matches_element_scan():
+    """Validation builds only the members; the element-level scan over
+    every exponent pair below 2*lcm(p, q) must reach the same verdict and
+    the same first escaping product, on every residue set with (0, 0)."""
+    checked = 0
+    for p, q in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
+        span = 2 * lcm(p, q)
+        classes = [(r, s) for r in range(p) for s in range(q)][1:]
+        elements = [BicyclicElement(n, m)
+                    for n in range(span) for m in range(span)]
+        for bits in range(1 << len(classes)):
+            residues = {(0, 0)} | {c for i, c in enumerate(classes)
+                                   if bits >> i & 1}
+            members = [e for e in elements
+                       if (e.n % p, e.m % q) in residues]
+            expected = next(((e1, e2, bmul(e1, e2)) for e1 in members
+                             for e2 in members
+                             if (bmul(e1, e2).n % p, bmul(e1, e2).m % q)
+                             not in residues), None)
+            if expected is None:
+                assert residue_submonoid(p, q, residues).residues == residues
+            else:
+                with pytest.raises(NotClosed) as err:
+                    residue_submonoid(p, q, residues)
+                e = err.value
+                assert (e.left, e.right, e.product) == expected
+            checked += 1
+    assert checked == 2 + 2 + 8 + 32 + 32 + 256
+
+
 def test_rm_related_reproduces_doubling_counterexample():
     parity = parity_submonoid()
     assert b_rm_related(BicyclicElement(2, 1), BicyclicElement(1, 2),

@@ -197,10 +197,53 @@ def test_bicyclic_non_closed_residues(capsys):
     assert code == 2
 
 
-def test_bad_bound_rejected(capsys):
+def test_bad_bound_rejected(t2_file, capsys):
     code, _, err = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
                        "(0,0)", "--bound", "0")
-    assert code == 2
+    assert code == 2 and "--bound 0 must be positive" in err
+    code, _, err = run(capsys, "hunt", "--bound", "-3")
+    assert code == 2 and "--bound -3 must be positive" in err
+    code, _, err = run(capsys, "classify", t2_file, "--all-submonoids",
+                       "--cap", "0")
+    assert code == 2 and "--cap 0 must be positive" in err
+
+
+def test_bicyclic_malformed_residue_rejected(capsys):
+    for residues, token in (("(0,0),(1;1)", "'(1;1)'"), ("(0,0),", "''"),
+                            ("(0,0) (1,1)", "'(0,0) (1,1)'"),
+                            ("(0,0),(-1,1)", "'(-1,1)'"), ("0,0", "'0'")):
+        code, out, err = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
+                             residues, "--check-rm", "y1x1,y2x2")
+        assert code == 2 and out == "", residues
+        assert f"bad residue {token} in --residues" in err, err
+    code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
+                       " { (0, 0) , (1,1) } ")
+    assert code == 0
+    assert out == "submonoid mod(2,2) residues {(0,0),(1,1)}\n"
+
+
+def test_bicyclic_mod_above_ceiling_rejected(capsys, monkeypatch):
+    from clotkit import cli as cli_module
+
+    # the refusal comes before the residue set is validated
+    monkeypatch.setattr(cli_module.bc, "residue_submonoid", None)
+    ceiling = cli_module.BOUND_CEILINGS["bicyclic --mod"]
+    for mod in ("30,29", f"{ceiling + 1},1", f"1,{ceiling + 1}", "0,2"):
+        code, _, err = run(capsys, "bicyclic", "--mod", mod, "--residues",
+                           "(0,0)")
+        assert code == 2
+        assert f"--mod {mod}: each modulus must lie in 1..{ceiling}" in err
+
+
+def test_bicyclic_mod_at_ceiling_validates(capsys):
+    from clotkit import cli as cli_module
+
+    ceiling = cli_module.BOUND_CEILINGS["bicyclic --mod"]
+    diagonal = ",".join(f"({r},{r})" for r in range(ceiling))
+    code, out, _ = run(capsys, "bicyclic", "--mod", f"{ceiling},{ceiling}",
+                       "--residues", diagonal)
+    assert code == 0
+    assert out.startswith(f"submonoid mod({ceiling},{ceiling})")
 
 
 def test_bicyclic_bound_above_ceiling_rejected(capsys, monkeypatch):

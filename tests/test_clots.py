@@ -1,24 +1,27 @@
 import pytest
 
 from clotkit.clots import (
-    NotAGroup,
     homogeneity,
-    interleaved_insertion_bounded,
     is_clot,
-    is_conjugation_closed,
     is_normal_submonoid,
     is_positive_cone,
-    translation_preorder,
-    unit_insertion_condition,
     unit_transfer_condition,
 )
-from clotkit.monoid import subset_group_verdict
+from clotkit.monoid import full_transformation_monoid, subset_group_verdict
 from clotkit.relations import (
+    internal_reflexive_closure,
     is_internal,
-    relation_flags,
     syntactic_reflexive_relation,
     witness_json,
     zero_class,
+)
+from finite_oracles import (
+    NotAGroup,
+    interleaved_insertion_bounded,
+    is_conjugation_closed,
+    relation_flags,
+    translation_preorder,
+    unit_insertion_condition,
 )
 
 A3 = frozenset({0, 3, 4})           # even permutations in the S3 fixture
@@ -79,6 +82,30 @@ def test_is_clot(t2, s3):
     assert not v.holds and v.witness == {"u": 1}
     m2, named2 = t2
     assert is_clot(m2, named2["bijections"]).holds
+
+
+def test_is_clot_matches_orbit_closure(t3, t3_submonoids, s3, corpus):
+    """The unit route against the zero-class of the closure in A x A: same
+    verdict and same witness bytes on every pair of the default corpus,
+    all 699 submonoids of T3, T4 with its bijections, and every subset of
+    S3 (a subset that is no submonoid is never a clot)."""
+    m3 = t3[0]
+    t4, named4 = full_transformation_monoid(4)
+    cases = [(pair.monoid, pair.mask) for pair in corpus]
+    cases += [(m3, bits) for bits in t3_submonoids]
+    cases.append((t4, frozenset(named4["bijections"])))
+    cases += [(s3, frozenset(i for i in range(6) if bits >> i & 1))
+              for bits in range(64)]
+    assert len(cases) == 219 + 699 + 1 + 64
+    failures = 0
+    for m, sub in cases:
+        zc = zero_class(internal_reflexive_closure(m, sub))
+        expected = None if zc == sub else {"u": min(zc - sub)}
+        v = is_clot(m, sub)
+        assert (v.holds, repr(v.witness)) == (zc == sub, repr(expected)), \
+            (m.name, sorted(sub))
+        failures += not v.holds
+    assert failures > 0
 
 
 def test_clot_iff_unit_insertion(t2, t3, s3, z4):
