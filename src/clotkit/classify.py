@@ -23,7 +23,6 @@ stated bound) or "n/a" (not computed for this kind of pair).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional
 
 from . import bicyclic as bc
@@ -101,11 +100,7 @@ def pair_name(m: FiniteMonoid, subset) -> str:
 
 def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
     """Compute every flag for a finite pair; all modes are exact."""
-    return _classify_pair(m, as_subset(m, subset))
-
-
-@lru_cache(maxsize=None)
-def _classify_pair(m: FiniteMonoid, sub: frozenset) -> ClassificationReport:
+    sub = as_subset(m, subset)
     rm = syntactic_reflexive_relation(m, sub)
     zc = zero_class(rm)
     m_group = subset_group_verdict(m, sub)

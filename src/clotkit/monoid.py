@@ -18,6 +18,11 @@ DEFAULT_ORDER_CAP = 512
 DEFAULT_ENUM_CAP = 10_000
 
 
+def _is_index(v) -> bool:
+    # JSON true and false load as bools, and bool is a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class MonoidError(Exception):
     """A table or subset failed monoid validation."""
 
@@ -73,10 +78,12 @@ def validate_monoid(table, identity: int, labels=None, name: str = "M",
         if len(row) != n:
             raise IndexOutOfRange("table is not square")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise IndexOutOfRange(f"table entry {v!r} outside [0, {n})")
-    if not 0 <= identity < n:
-        raise IndexOutOfRange(f"identity {identity} outside [0, {n})")
+            if not _is_index(v) or not 0 <= v < n:
+                raise IndexOutOfRange(
+                    f"table entry {v!r} is not an integer in [0, {n})")
+    if not _is_index(identity) or not 0 <= identity < n:
+        raise IndexOutOfRange(
+            f"identity {identity!r} is not an integer in [0, {n})")
     for j in range(n):
         if rows[identity][j] != j or rows[j][identity] != j:
             raise BadIdentity(j)
@@ -198,6 +205,31 @@ class SubmonoidMask:
         return len(self.bits)
 
 
+def _table_closure(both: list[list[int]], bits: int, c: int) -> int:
+    """The least set closed under a product table that holds the closed set
+    `bits` and the element c; both[x][y] is the bitmask of x*y and y*x.
+    Only a product with a new element can be new, so each new element is
+    multiplied by the members, new ones included."""
+    members = [x for x in range(len(both)) if bits >> x & 1]
+    bits |= 1 << c
+    members.append(c)
+    pending = [c]
+    while pending:
+        row = both[pending.pop()]
+        products = 0
+        for y in members:
+            products |= row[y]
+        new = products & ~bits
+        while new:
+            low = new & -new
+            new ^= low
+            bits |= low
+            z = low.bit_length() - 1
+            members.append(z)
+            pending.append(z)
+    return bits
+
+
 def submonoid_closure(m: FiniteMonoid, seed: Iterable[int]) -> SubmonoidMask:
     """Smallest submonoid containing the seed: repeated pairwise products."""
     bits = {m.identity} | set(seed)
@@ -228,21 +260,25 @@ def enumerate_submonoids(m: FiniteMonoid,
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    first = submonoid_closure(m, ())
-    seen = {first.bits}
-    out = [first]
-    layer = [first.bits]
+    table = m.table
+    both = [[1 << tx[y] | 1 << table[y][x] for y in range(m.order)]
+            for x, tx in enumerate(table)]
+    first = 1 << m.identity
+    seen = {first}
+    out = [SubmonoidMask(m, frozenset({m.identity}))]
+    layer = [first]
     while layer:
         next_layer = []
         for bits in layer:
             for x in range(m.order):
-                if x in bits:
+                if bits >> x & 1:
                     continue
-                grown = submonoid_closure(m, bits | {x})
-                if grown.bits not in seen:
-                    seen.add(grown.bits)
-                    out.append(grown)
-                    next_layer.append(grown.bits)
+                grown = _table_closure(both, bits, x)
+                if grown not in seen:
+                    seen.add(grown)
+                    out.append(SubmonoidMask(m, frozenset(
+                        i for i in range(m.order) if grown >> i & 1)))
+                    next_layer.append(grown)
                     if len(out) >= cap:
                         return SubmonoidEnumeration(out, True)
         layer = next_layer
@@ -287,11 +323,12 @@ class TransformationSpec:
 def monoid_from_transformations(spec: TransformationSpec,
                                 cap: int = DEFAULT_ORDER_CAP) -> FiniteMonoid:
     k = spec.domain
-    if k < 1:
-        raise MonoidError("domain size must be >= 1")
+    if not _is_index(k) or k < 1:
+        raise MonoidError(f"domain {k!r} is not a positive integer")
     for f in spec.maps:
-        if len(f) != k or any(not 1 <= v <= k for v in f):
-            raise MonoidError(f"map {f} is not a self-map of a {k}-element set")
+        if len(f) != k or any(not _is_index(v) or not 1 <= v <= k for v in f):
+            raise MonoidError(
+                f"generator {list(f)} is not a self-map of a {k}-element set")
     ident = tuple(range(1, k + 1))
     elems = {ident} | {tuple(f) for f in spec.maps}
     if spec.close:
@@ -343,16 +380,22 @@ def monoid_from_dict(d: dict):
     if "table" in d:
         m = validate_monoid(d["table"], d["identity"],
                             labels=d.get("labels"), name=d.get("name", "M"))
-        if "order" in d and d["order"] != m.order:
-            raise MonoidError(
-                f"declared order {d['order']} does not match table")
+        order = d.get("order", m.order)
+        if not _is_index(order) or order != m.order:
+            raise MonoidError(f"declared order {order!r} does not match table")
+        subsets = d.get("submonoids", {})
+        if not isinstance(subsets, dict):
+            raise MonoidError("submonoids is not an object of named subsets")
         subs = {}
-        for name, indices in d.get("submonoids", {}).items():
+        for name, indices in subsets.items():
+            if not isinstance(indices, list):
+                raise MonoidError(f"subset {name!r} is not a list of element "
+                                  f"indices: {indices!r}")
             bad = [i for i in indices
-                   if not (isinstance(i, int) and 0 <= i < m.order)]
+                   if not (_is_index(i) and 0 <= i < m.order)]
             if bad:
                 raise IndexOutOfRange(f"subset {name!r}: index {bad[0]!r} "
-                                      f"outside [0, {m.order})")
+                                      f"is not an integer in [0, {m.order})")
             subs[name] = frozenset(indices)
         return m, subs
     if "domain" in d:

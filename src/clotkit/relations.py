@@ -8,13 +8,17 @@ For a subset M of a monoid A, three relations are built from context sets:
 
 Each element's context is the set of pairs (x, y) with xay in M (resp. = 1),
 packed into a single integer with bit x*n + y set.  Relation rows are packed
-the same way: bit b of rows[a] says whether a is related to b.
+the same way: bit b of rows[a] says whether a is related to b.  The preorder
+and R share one row kernel: a S b iff left[a] is a subset of ctx[b], where
+left is ctx itself for the preorder and the contexts of {1} for R.
+
+Nothing is cached between calls: each builder computes its relation from
+the table, and a result lives as long as its caller keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -112,27 +116,12 @@ def as_subset(m: "FiniteMonoid", subset) -> frozenset[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _membership_rows(m: "FiniteMonoid", subset: frozenset) -> tuple[int, ...]:
-    # bit y of entry z: z*y in subset
-    n = m.order
-    rows = []
-    for z in range(n):
-        tz = m.table[z]
-        bits = 0
-        for y in range(n):
-            if tz[y] in subset:
-                bits |= 1 << y
-        rows.append(bits)
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
 def _context_vectors(m: "FiniteMonoid", subset: frozenset) -> tuple[int, ...]:
     # bit x*n + y of entry a: x*a*y in subset
     n = m.order
-    mem = _membership_rows(m, subset)
     table = m.table
+    # bit y of mem[z]: z*y in subset
+    mem = [sum(1 << y for y in range(n) if tz[y] in subset) for tz in table]
     return tuple(
         _or_shifted([mem[table[x][a]] for x in range(n)], n) for a in range(n)
     )
@@ -145,60 +134,33 @@ def _or_shifted(rows: list[int], width: int) -> int:
     return v
 
 
+def _inclusion_rows(left: tuple[int, ...], ctx: tuple[int, ...]) -> tuple:
+    """Rows of the relation a S b iff left[a] is a subset of ctx[b]."""
+    return tuple(sum(1 << b for b, cb in enumerate(ctx) if la & cb == la)
+                 for la in left)
+
+
 def syntactic_congruence(m: "FiniteMonoid", subset) -> Relation:
     """Relation identifying elements with equal context sets relative to M."""
-    return _syntactic_congruence(m, as_subset(m, subset))
-
-
-@lru_cache(maxsize=None)
-def _syntactic_congruence(m: "FiniteMonoid", sub: frozenset) -> Relation:
-    ctx = _context_vectors(m, sub)
+    ctx = _context_vectors(m, as_subset(m, subset))
     class_mask: dict[int, int] = {}
     for a, v in enumerate(ctx):
         class_mask[v] = class_mask.get(v, 0) | 1 << a
-    return Relation(m, tuple(class_mask[ctx[a]] for a in range(m.order)),
+    return Relation(m, tuple(class_mask[v] for v in ctx),
                     "congruence-candidate")
 
 
 def syntactic_preorder(m: "FiniteMonoid", subset) -> Relation:
     """Relation ordering elements by context-set inclusion relative to M."""
-    return _syntactic_preorder(m, as_subset(m, subset))
-
-
-@lru_cache(maxsize=None)
-def _syntactic_preorder(m: "FiniteMonoid", sub: frozenset) -> Relation:
-    ctx = _context_vectors(m, sub)
-    n = m.order
-    rows = []
-    for a in range(n):
-        ca = ctx[a]
-        r = 0
-        for b in range(n):
-            if ca | ctx[b] == ctx[b]:
-                r |= 1 << b
-        rows.append(r)
-    return Relation(m, tuple(rows), "preorder-candidate")
+    ctx = _context_vectors(m, as_subset(m, subset))
+    return Relation(m, _inclusion_rows(ctx, ctx), "preorder-candidate")
 
 
 def syntactic_reflexive_relation(m: "FiniteMonoid", subset) -> Relation:
     """a related to b iff every factorization x*a*y = 1 gives x*b*y in M."""
-    return _syntactic_reflexive(m, as_subset(m, subset))
-
-
-@lru_cache(maxsize=None)
-def _syntactic_reflexive(m: "FiniteMonoid", sub: frozenset) -> Relation:
     one_ctx = _context_vectors(m, frozenset({m.identity}))
-    ctx = _context_vectors(m, sub)
-    n = m.order
-    rows = []
-    for a in range(n):
-        ka = one_ctx[a]
-        r = 0
-        for b in range(n):
-            if ka & ctx[b] == ka:
-                r |= 1 << b
-        rows.append(r)
-    return Relation(m, tuple(rows), "reflexive-candidate")
+    ctx = _context_vectors(m, as_subset(m, subset))
+    return Relation(m, _inclusion_rows(one_ctx, ctx), "reflexive-candidate")
 
 
 def zero_class(rel: Relation) -> frozenset[int]:
@@ -229,10 +191,7 @@ def is_internal(rel: Relation) -> Verdict:
 def internal_reflexive_closure(m: "FiniteMonoid", subset) -> Relation:
     """Smallest reflexive relation containing {(1, u) : u in M} that is
     closed under pairwise products; its zero-class always contains M."""
-    return _internal_reflexive_closure(m, as_subset(m, subset))
-
-
-def _internal_reflexive_closure(m: "FiniteMonoid", sub: frozenset) -> Relation:
+    sub = as_subset(m, subset)
     # A reflexive relation closed under products is a submonoid of A x A
     # containing the diagonal, so the closure is the submonoid generated by
     # the pairs (g, g) and (1, u).  Being finite, it is the right orbit of

@@ -4,30 +4,24 @@ for a clot whose reflexive syntactic relation fails compatibility."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple, Optional
 
 from . import bicyclic as bc
-from .classify import classify_pair, pair_name
+from .classify import ClassificationReport, classify_pair, pair_name
 from .clots import is_clot
 from .monoid import (
     FiniteMonoid,
+    _table_closure,
     cyclic_group,
     direct_product,
     enumerate_submonoids,
     full_transformation_monoid,
     is_dedekind_finite,
-    load_monoid,
     restrict_to_submonoid,
-    submonoid_closure,
 )
-from .relations import (
-    is_internal,
-    syntactic_reflexive_relation,
-    witness_json,
-    zero_class,
-)
+from .relations import syntactic_reflexive_relation, witness_json, zero_class
 
 CATEGORIES = frozenset({
     "C", "C1", "C2", "C3", "C4", "C5", "C0", "C0.5",
@@ -60,7 +54,6 @@ class CorpusConfig:
     transformation_max: int = 3
     submonoid_cap: int = 170
     include_products: bool = True
-    extra_files: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -74,6 +67,12 @@ class Corpus:
 
     def __len__(self):
         return len(self.pairs)
+
+    @cached_property
+    def reports(self) -> tuple[ClassificationReport, ...]:
+        """classify_pair of each pair, in order; computed once, on first
+        use, and dropped with the corpus."""
+        return tuple(classify_pair(p.monoid, p.mask) for p in self.pairs)
 
 
 def _corpus_monoids(config: CorpusConfig):
@@ -129,11 +128,6 @@ def build_corpus(config: Optional[CorpusConfig] = None) -> Corpus:
     for k, (tk, named) in t_monoids.items():
         if k >= 2:
             add(tk, frozenset(named["bijections"]))
-    for path in config.extra_files:
-        m, subs = load_monoid(path)
-        add(m, frozenset(range(m.order)))
-        for bits in subs.values():
-            add(m, submonoid_closure(m, bits).bits)
 
     pairs.sort(key=lambda p: (p.monoid.order, p.monoid.table,
                               sum(1 << b for b in p.mask)))
@@ -159,8 +153,7 @@ def strictness_search(corpus: Corpus, outer: str,
     """First corpus pair belonging to the outer category but not the inner
     one, or None (some strictness witnesses are inherently infinite)."""
     _check_inclusion(outer, inner)
-    for pair in corpus:
-        report = classify_pair(pair.monoid, pair.mask)
+    for pair, report in zip(corpus, corpus.reports):
         if report.holds(outer) is True and report.holds(inner) is False:
             return pair
     return None
@@ -216,29 +209,6 @@ def _residue_product_table(p: int, q: int) -> list[list[int]]:
             row.append(bits)
         table.append(row)
     return table
-
-
-def _table_closure(both: list[list[int]], bits: int, c: int) -> int:
-    """The least class set closed under the table that holds the closed set
-    `bits` and the class c; both[x][y] is the table's x*y | y*x."""
-    members = [x for x in range(len(both)) if bits >> x & 1]
-    bits |= 1 << c
-    members.append(c)
-    pending = [c]
-    while pending:
-        row = both[pending.pop()]
-        products = 0
-        for y in members:
-            products |= row[y]
-        new = products & ~bits
-        while new:
-            low = new & -new
-            new ^= low
-            bits |= low
-            z = low.bit_length() - 1
-            members.append(z)
-            pending.append(z)
-    return bits
 
 
 def _closed_residue_sets(p: int, q: int) -> list[frozenset]:
@@ -311,8 +281,7 @@ def open_question_report(corpus: Optional[Corpus] = None,
     violations = []
     clot_pairs = 0
     # C3 ⊆ C2 ⊆ C1: in a Dedekind-finite monoid unit transfer holds, and
-    # with it compatibility of R, so the O(P^2) is_internal scan is needed
-    # only in a monoid where some xy = 1 has yx != 1
+    # with it compatibility of R, so C1 needs no O(P^2) is_internal scan
     dedekind_finite = {m: is_dedekind_finite(m).holds
                        for m in {pair.monoid for pair in corpus}}
     for pair in corpus:
@@ -320,8 +289,7 @@ def open_question_report(corpus: Optional[Corpus] = None,
         if is_clot(m, sub).holds:
             clot_pairs += 1
             rm = syntactic_reflexive_relation(m, sub)
-            c1 = dedekind_finite[m] or is_internal(rm).holds
-            if not (c1 and zero_class(rm) == sub):
+            if not (dedekind_finite[m] and zero_class(rm) == sub):
                 violations.append(pair_name(m, sub))
     finite = {
         "pairs_checked": len(corpus),

@@ -1,4 +1,7 @@
+import gc
 import json
+import weakref
+from dataclasses import replace
 
 from clotkit.bicyclic import parity_submonoid, residue_submonoid
 from clotkit.classify import (
@@ -8,7 +11,14 @@ from clotkit.classify import (
     classify_pair,
     report_json,
 )
-from clotkit.relations import Verdict
+from clotkit.clots import is_clot
+from clotkit.monoid import full_transformation_monoid
+from clotkit.relations import (
+    Verdict,
+    syntactic_congruence,
+    syntactic_preorder,
+    syntactic_reflexive_relation,
+)
 
 A3 = frozenset({0, 3, 4})
 SWAP12 = frozenset({0, 2})
@@ -114,7 +124,22 @@ def test_report_json_round_trips(t2):
 def test_finite_pairs_make_upper_chain_collapse(corpus):
     # every finite pair is Dedekind finite, hence in C2 and C1,
     # so being a clot coincides with membership in C(1,0)
-    for pair in corpus:
-        report = classify_pair(pair.monoid, pair.mask)
+    for report in corpus.reports:
         assert report.holds("C3") and report.holds("C2") and report.holds("C1")
         assert report.holds("C0.5") == report.holds("C(1,0)")
+
+
+def test_no_state_outlives_a_call():
+    # renamed so that it equals no monoid another test has used
+    m, named = full_transformation_monoid(2)
+    m = replace(m, name="T2, dropped after use")
+    sub = named["bijections"]
+    classify_pair(m, sub)
+    for build in (syntactic_congruence, syntactic_preorder,
+                  syntactic_reflexive_relation):
+        build(m, sub)
+    is_clot(m, sub)
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None

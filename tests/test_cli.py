@@ -115,6 +115,31 @@ def test_validate_rejects_out_of_range_subset(tmp_path, capsys):
     assert "subset 's'" in err and "index 5" in err
 
 
+Z2 = {"table": [[0, 1], [1, 0]], "identity": 0}
+
+
+# JSON true and false load as bools, which Python counts as 1 and 0
+@pytest.mark.parametrize("doc, field", [
+    (dict(Z2, submonoids={"x": [0, True]}), "subset 'x': index True"),
+    (dict(Z2, table=[[0, True], [1, 0]]), "table entry True"),
+    (dict(Z2, table=[[False, 1], [1, 0]]), "table entry False"),
+    (dict(Z2, identity=False), "identity False"),
+    (dict(Z2, identity=True), "identity True"),
+    ({"domain": 2, "generators": [[2, True]]}, "generator [2, True]"),
+    ({"domain": True, "generators": [[1]]}, "domain True"),
+    ({"table": [[0]], "identity": 0, "order": True}, "declared order True"),
+    (dict(Z2, submonoids={"x": 5}), "subset 'x' is not a list"),
+    (dict(Z2, submonoids={"x": "01"}), "subset 'x' is not a list"),
+    (dict(Z2, submonoids=[[0]]), "submonoids is not an object"),
+])
+def test_malformed_file_names_the_field(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path), "--submonoid", "x")
+    assert code == 2 and out == ""
+    assert field in err, err
+
+
 def test_closure_command(t2_file, capsys):
     code, out, _ = run(capsys, "closure", t2_file, "--submonoid", "bijections")
     assert code == 0

@@ -7,7 +7,7 @@ from clotkit import bicyclic as bc
 from clotkit import search
 from clotkit.classify import classify_pair
 from clotkit.monoid import full_transformation_monoid
-from clotkit.relations import Verdict, is_internal
+from clotkit.relations import Verdict
 from clotkit.search import (
     Corpus,
     CorpusConfig,
@@ -85,6 +85,14 @@ def test_strictness_witnesses_revalidate(corpus):
         assert report.holds(inner) is False
 
 
+def test_corpus_reports_computed_once(corpus):
+    assert corpus.reports is corpus.reports
+    assert len(corpus.reports) == len(corpus)
+    for i in (0, len(corpus) // 2, len(corpus) - 1):
+        pair = corpus.pairs[i]
+        assert corpus.reports[i] == classify_pair(pair.monoid, pair.mask)
+
+
 def test_infinite_only_inclusions_have_no_finite_witness(corpus):
     assert strictness_search(corpus, "C", "C1") is None
     assert strictness_search(corpus, "C1", "C2") is None
@@ -132,8 +140,7 @@ def test_open_question_report_small_bound(corpus):
 # is_internal scan.  Kept as the oracle.
 def _finite_vacuity_by_classification(corpus):
     clot_pairs, violations = 0, []
-    for pair in corpus:
-        report = classify_pair(pair.monoid, pair.mask)
+    for report in corpus.reports:
         if report.holds("C0.5"):
             clot_pairs += 1
             if report.holds("C(1,0)") is not True:
@@ -147,18 +154,17 @@ def test_finite_vacuity_matches_classification(corpus):
         _finite_vacuity_by_classification(corpus)
 
 
-def test_finite_vacuity_falls_back_to_the_compatibility_scan(
+def test_finite_vacuity_takes_c1_from_dedekind_finiteness(
         corpus, monkeypatch):
-    # with the theorem withheld, C1 comes from is_internal on every clot
+    # C1 comes from one Dedekind-finiteness pass per monoid and no scan, so
+    # with that pass made to fail every clot is reported
+    checked = []
     monkeypatch.setattr(search, "is_dedekind_finite",
-                        lambda m: Verdict(False))
-    scanned = []
-    monkeypatch.setattr(search, "is_internal",
-                        lambda rel: scanned.append(rel) or is_internal(rel))
+                        lambda m: checked.append(m) or Verdict(False))
     fin = open_question_report(corpus, moduli_bound=1)["finite_vacuity"]
-    assert (fin["clot_pairs"], fin["violations"]) == \
-        _finite_vacuity_by_classification(corpus)
-    assert len(scanned) == fin["clot_pairs"]
+    assert len(checked) == len({pair.monoid for pair in corpus})
+    assert fin["violations"] == [
+        report.pair for report in corpus.reports if report.holds("C0.5")]
 
 
 # ------------------------------------------------- residue submonoids
