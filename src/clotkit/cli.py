@@ -80,9 +80,11 @@ def _emit_json(obj) -> None:
 def _load(path: str):
     try:
         return load_monoid(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (MonoidError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    # ValueError: undecodable bytes or bad JSON; RecursionError: deep nesting
+    except (MonoidError, ValueError, RecursionError, KeyError,
+            TypeError) as exc:
         raise InputError(f"invalid monoid file {path}: {exc}") from exc
 
 

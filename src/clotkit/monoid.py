@@ -64,16 +64,16 @@ class FiniteMonoid:
         return self.table[a][b]
 
 
-def validate_monoid(table, identity: int, labels=None, name: str = "M",
-                    cap: int = DEFAULT_ORDER_CAP) -> FiniteMonoid:
+def validate_monoid(table, identity: int, labels=None,
+                    name: str = "M") -> FiniteMonoid:
     """Check the identity law and associativity, returning a FiniteMonoid or
     raising an error that names the first violation found."""
     rows = tuple(tuple(row) for row in table)
     n = len(rows)
     if n == 0:
         raise MonoidError("empty table")
-    if n > cap:
-        raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     for row in rows:
         if len(row) != n:
             raise IndexOutOfRange("table is not square")
@@ -105,7 +105,7 @@ def validate_monoid(table, identity: int, labels=None, name: str = "M",
     return FiniteMonoid(rows, identity, labels, name)
 
 
-def full_transformation_monoid(k: int, cap: int = DEFAULT_ORDER_CAP):
+def full_transformation_monoid(k: int):
     """All k**k self-maps of {1..k} under (a*b)(x) = a(b(x)).
 
     Returns the monoid plus the named subsets "bijections" and "constants".
@@ -115,8 +115,9 @@ def full_transformation_monoid(k: int, cap: int = DEFAULT_ORDER_CAP):
     if k < 1:
         raise ValueError("k must be >= 1")
     n = k ** k
-    if n > cap:
-        raise OrderCapExceeded(f"T_{k} has {n} elements, cap {cap}")
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(
+            f"T_{k} has {n} elements, cap {DEFAULT_ORDER_CAP}")
     maps = list(iter_product(range(1, k + 1), repeat=k))
     monoid = _transformation_table(maps, k, f"T{k}")
     bijections = frozenset(i for i, f in enumerate(maps) if len(set(f)) == k)
@@ -137,12 +138,12 @@ def _transformation_table(maps: list, k: int, name: str) -> FiniteMonoid:
     return FiniteMonoid(table, index[tuple(range(1, k + 1))], labels, name)
 
 
-def direct_product(a: FiniteMonoid, b: FiniteMonoid,
-                   cap: int = DEFAULT_ORDER_CAP) -> FiniteMonoid:
+def direct_product(a: FiniteMonoid, b: FiniteMonoid) -> FiniteMonoid:
     """Componentwise product; element (i, j) gets index i*|b| + j."""
     n = a.order * b.order
-    if n > cap:
-        raise OrderCapExceeded(f"product order {n} exceeds cap {cap}")
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(
+            f"product order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     nb = b.order
     table = tuple(
         tuple(a.table[i1][i2] * nb + b.table[j1][j2]
@@ -164,15 +165,8 @@ def restrict_to_submonoid(m: FiniteMonoid, subset: Iterable[int],
                           name: Optional[str] = None) -> FiniteMonoid:
     """Standalone monoid on a subset that contains the identity and is
     closed under the product; element order follows sorted indices."""
-    elems = sorted(set(subset))
+    elems = list(SubmonoidMask(m, frozenset(subset)))
     pos = {e: i for i, e in enumerate(elems)}
-    if m.identity not in pos:
-        raise MonoidError("subset does not contain the identity")
-    for i in elems:
-        for j in elems:
-            if m.table[i][j] not in pos:
-                raise MonoidError(
-                    f"subset not closed: {i}*{j} = {m.table[i][j]}")
     table = tuple(tuple(pos[m.table[i][j]] for j in elems) for i in elems)
     labels = tuple(m.labels[i] for i in elems)
     return FiniteMonoid(table, pos[m.identity], labels, name or f"{m.name}|sub")
@@ -205,6 +199,33 @@ class SubmonoidMask:
         return len(self.bits)
 
 
+def _right_orbit(one, generators, times) -> list:
+    """The submonoid generated by `generators`, breadth first: the right
+    orbit of `one` under them (Froidure & Pin 1997), |orbit|*|generators|
+    products x*g = times(x, g).  Refused past DEFAULT_ORDER_CAP elements."""
+    orbit = [one]
+    seen = {one}
+    for x in orbit:
+        for g in generators:
+            y = times(x, g)
+            if y not in seen:
+                if len(orbit) >= DEFAULT_ORDER_CAP:
+                    raise OrderCapExceeded(
+                        f"closure exceeds cap {DEFAULT_ORDER_CAP}")
+                seen.add(y)
+                orbit.append(y)
+    return orbit
+
+
+def submonoid_closure(m: FiniteMonoid, seed: Iterable[int]) -> SubmonoidMask:
+    """Smallest submonoid containing the seed: the right orbit of 1."""
+    gens = sorted(set(seed))
+    table = m.table
+    orbit = _right_orbit(m.identity, gens, lambda x, g: table[x][g])
+    # the seed is joined so that a negative index is refused, not wrapped
+    return SubmonoidMask(m, frozenset(orbit).union(gens))
+
+
 def _table_closure(both: list[list[int]], bits: int, c: int) -> int:
     """The least set closed under a product table that holds the closed set
     `bits` and the element c; both[x][y] is the bitmask of x*y and y*x.
@@ -230,20 +251,23 @@ def _table_closure(both: list[list[int]], bits: int, c: int) -> int:
     return bits
 
 
-def submonoid_closure(m: FiniteMonoid, seed: Iterable[int]) -> SubmonoidMask:
-    """Smallest submonoid containing the seed: repeated pairwise products."""
-    bits = {m.identity} | set(seed)
-    pending = sorted(bits)
-    i = 0
-    while i < len(pending):
-        x = pending[i]
-        i += 1
-        for y in list(pending):
-            for z in (m.table[x][y], m.table[y][x]):
-                if z not in bits:
-                    bits.add(z)
-                    pending.append(z)
-    return SubmonoidMask(m, frozenset(bits))
+def _closed_sets(both: list[list[int]], first: int,
+                 cap: Optional[int] = None) -> tuple[list[int], bool]:
+    """Bitmasks of the sets closed under `both` (see `_table_closure`) that
+    hold the closed set `first`, by breadth-first one-element extensions in
+    ascending element order; at most cap, flagged when one was left out."""
+    found = [first]
+    seen = {first}
+    for bits in found:
+        for c in range(len(both)):
+            if not bits >> c & 1:
+                grown = _table_closure(both, bits, c)
+                if grown not in seen:
+                    if len(found) == cap:
+                        return found, True
+                    seen.add(grown)
+                    found.append(grown)
+    return found, False
 
 
 class SubmonoidEnumeration(NamedTuple):
@@ -253,36 +277,17 @@ class SubmonoidEnumeration(NamedTuple):
 
 def enumerate_submonoids(m: FiniteMonoid,
                          cap: int = DEFAULT_ENUM_CAP) -> SubmonoidEnumeration:
-    """All submonoids, by breadth-first one-element extensions of closed sets.
-
-    Deterministic: layers are explored in discovery order and extensions by
-    ascending element index.  Stops at cap with the truncation flag set.
-    """
+    """All submonoids, by `_closed_sets` from {1}: deterministic, at most
+    cap, with the truncation flag set when one was left out."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     table = m.table
     both = [[1 << tx[y] | 1 << table[y][x] for y in range(m.order)]
             for x, tx in enumerate(table)]
-    first = 1 << m.identity
-    seen = {first}
-    out = [SubmonoidMask(m, frozenset({m.identity}))]
-    layer = [first]
-    while layer:
-        next_layer = []
-        for bits in layer:
-            for x in range(m.order):
-                if bits >> x & 1:
-                    continue
-                grown = _table_closure(both, bits, x)
-                if grown not in seen:
-                    seen.add(grown)
-                    out.append(SubmonoidMask(m, frozenset(
-                        i for i in range(m.order) if grown >> i & 1)))
-                    next_layer.append(grown)
-                    if len(out) >= cap:
-                        return SubmonoidEnumeration(out, True)
-        layer = next_layer
-    return SubmonoidEnumeration(out, False)
+    found, truncated = _closed_sets(both, 1 << m.identity, cap)
+    masks = [SubmonoidMask(m, frozenset(
+        i for i in range(m.order) if bits >> i & 1)) for bits in found]
+    return SubmonoidEnumeration(masks, truncated)
 
 
 def is_dedekind_finite(m: FiniteMonoid) -> Verdict:
@@ -320,41 +325,32 @@ class TransformationSpec:
     close: bool = True
 
 
-def monoid_from_transformations(spec: TransformationSpec,
-                                cap: int = DEFAULT_ORDER_CAP) -> FiniteMonoid:
+def monoid_from_transformations(spec: TransformationSpec) -> FiniteMonoid:
+    """The monoid generated by the maps: the right orbit of the identity map.
+    With close false the maps must list it and every composite."""
     k = spec.domain
-    if not _is_index(k) or k < 1:
-        raise MonoidError(f"domain {k!r} is not a positive integer")
+    if not _is_index(k) or not 1 <= k <= DEFAULT_ORDER_CAP:
+        raise MonoidError(f"domain {k!r} is not an integer in "
+                          f"[1, {DEFAULT_ORDER_CAP}]")
+    if not isinstance(spec.close, bool):
+        raise MonoidError(f"close {spec.close!r} is not a boolean")
     for f in spec.maps:
         if len(f) != k or any(not _is_index(v) or not 1 <= v <= k for v in f):
             raise MonoidError(
                 f"generator {list(f)} is not a self-map of a {k}-element set")
     ident = tuple(range(1, k + 1))
-    elems = {ident} | {tuple(f) for f in spec.maps}
-    if spec.close:
-        pending = sorted(elems)
-        i = 0
-        while i < len(pending):
-            f = pending[i]
-            i += 1
-            for g in list(pending):
-                for h in (tuple(f[g[x] - 1] for x in range(k)),
-                          tuple(g[f[x] - 1] for x in range(k))):
-                    if h not in elems:
-                        if len(elems) >= cap:
-                            raise OrderCapExceeded(
-                                f"closure exceeds cap {cap}")
-                        elems.add(h)
-                        pending.append(h)
-    else:
-        if ident not in {tuple(f) for f in spec.maps}:
-            raise MonoidError("close=false requires the identity map")
-        for f in elems:
-            for g in elems:
-                h = tuple(f[g[x] - 1] for x in range(k))
-                if h not in elems:
-                    raise MonoidError(
-                        f"maps not closed under composition: {f} after {g}")
+    listed = {tuple(f) for f in spec.maps}
+    if not spec.close and ident not in listed:
+        raise MonoidError("close=false requires the identity map")
+
+    def compose(f, g):
+        h = tuple(f[x - 1] for x in g)
+        if not spec.close and h not in listed:
+            raise MonoidError(
+                f"maps not closed under composition: {f} after {g}")
+        return h
+
+    elems = _right_orbit(ident, sorted(listed - {ident}), compose)
     return _transformation_table(sorted(elems), k, f"T{k}-gen")
 
 
@@ -407,5 +403,5 @@ def monoid_from_dict(d: dict):
 
 
 def load_monoid(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return monoid_from_dict(json.load(fh))

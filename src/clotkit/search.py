@@ -13,6 +13,7 @@ from .classify import ClassificationReport, classify_pair, pair_name
 from .clots import is_clot
 from .monoid import (
     FiniteMonoid,
+    _closed_sets,
     _table_closure,
     cyclic_group,
     direct_product,
@@ -213,24 +214,15 @@ def _residue_product_table(p: int, q: int) -> list[list[int]]:
 
 def _closed_residue_sets(p: int, q: int) -> list[frozenset]:
     """Every residue set mod (p, q) that holds (0, 0) and is closed under
-    the residue product table, found by one-element extensions of closed
-    sets from the closure of {(0, 0)}, and listed in increasing order of
-    their bitmasks (class (r, s) is bit r*q + s)."""
+    the residue product table: the closed sets over the closure of
+    {(0, 0)}, listed in increasing order of their bitmasks (class (r, s)
+    is bit r*q + s)."""
     table = _residue_product_table(p, q)
     n = p * q
     both = [[table[x][y] | table[y][x] for y in range(n)] for x in range(n)]
-    first = _table_closure(both, 0, 0)
-    seen = {first}
-    queue = [first]
-    for bits in queue:
-        for c in range(n):
-            if not bits >> c & 1:
-                grown = _table_closure(both, bits, c)
-                if grown not in seen:
-                    seen.add(grown)
-                    queue.append(grown)
+    found, _ = _closed_sets(both, _table_closure(both, 0, 0))
     return [frozenset(divmod(c, q) for c in range(n) if bits >> c & 1)
-            for bits in sorted(seen)]
+            for bits in sorted(found)]
 
 
 def _minimal_form(p: int, q: int, residues: frozenset) -> tuple:
@@ -260,10 +252,13 @@ def _closed_residue_submonoids(moduli_bound: int):
     return out
 
 
+# bounds of the hunt's bicyclic checks, stated in its report
+HUNT_INSERTION_NMAX = 2
+HUNT_INTERNALITY_BOUND = 3
+
+
 def open_question_report(corpus: Optional[Corpus] = None,
-                         moduli_bound: int = 4,
-                         internality_bound: int = 3,
-                         eq_nmax: int = 2) -> dict:
+                         moduli_bound: int = 4) -> dict:
     """Two-part report on whether a clot can have an incompatible reflexive
     syntactic relation.
 
@@ -305,11 +300,12 @@ def open_question_report(corpus: Optional[Corpus] = None,
     insertion_passes = []
     for sub in submonoids:
         exp_bound = 2 * lcm(sub.p, sub.q)
-        eq = bc.b_interleaved_insertion_bounded(sub, eq_nmax, exp_bound)
+        eq = bc.b_interleaved_insertion_bounded(sub, HUNT_INSERTION_NMAX,
+                                                exp_bound)
         if not eq.holds:
             continue
         insertion_passes.append(sub.describe())
-        search = bc.b_internality_search(sub, internality_bound)
+        search = bc.b_internality_search(sub, HUNT_INTERNALITY_BOUND)
         if not search.holds:
             candidates.append({"submonoid": sub.describe(),
                                **witness_json(search.witness)})
@@ -319,8 +315,9 @@ def open_question_report(corpus: Optional[Corpus] = None,
         "interleaved_insertion_passes": insertion_passes,
         "candidates": candidates,
         "mode": "bounded",
-        "note": (f"interleaved insertion checked for n<={eq_nmax}; "
-                 f"compatibility searched with exponents<="
-                 f"{internality_bound}; all conclusions bounded"),
+        "note": ("interleaved insertion checked for "
+                 f"n<={HUNT_INSERTION_NMAX}; compatibility searched with "
+                 f"exponents<={HUNT_INTERNALITY_BOUND}; all conclusions "
+                 "bounded"),
     }
     return {"finite_vacuity": finite, "bicyclic_candidates": bicyclic_part}

@@ -7,7 +7,9 @@ oracles for the decision procedures in clotkit.
 * `is_conjugation_closed`: clot status on a group, by conjugation;
 * `translation_preorder`: the relations b in Ma (right) and b in aM (left);
 * `relation_flags`: reflexivity, symmetry, transitivity and translation
-  stability of a relation.
+  stability of a relation;
+* `pairwise_submonoid_closure`: the generated submonoid by products of
+  every pair found, in both orders.
 """
 
 from __future__ import annotations
@@ -229,3 +231,19 @@ def relation_flags(rel: Relation) -> dict[str, Verdict]:
     flags["left_translation"] = Verdict(left is None, witness=left)
     flags["right_translation"] = Verdict(right is None, witness=right)
     return flags
+
+
+def pairwise_submonoid_closure(m: FiniteMonoid, seed) -> frozenset:
+    """Smallest submonoid containing the seed: repeated pairwise products."""
+    bits = {m.identity} | set(seed)
+    pending = sorted(bits)
+    i = 0
+    while i < len(pending):
+        x = pending[i]
+        i += 1
+        for y in list(pending):
+            for z in (m.table[x][y], m.table[y][x]):
+                if z not in bits:
+                    bits.add(z)
+                    pending.append(z)
+    return frozenset(bits)

@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import clotkit
 from clotkit.cli import main
 from clotkit.monoid import full_transformation_monoid, monoid_to_dict
 
@@ -131,6 +138,12 @@ Z2 = {"table": [[0, 1], [1, 0]], "identity": 0}
     (dict(Z2, submonoids={"x": 5}), "subset 'x' is not a list"),
     (dict(Z2, submonoids={"x": "01"}), "subset 'x' is not a list"),
     (dict(Z2, submonoids=[[0]]), "submonoids is not an object"),
+    # close is used only as a boolean; domain is capped before any map
+    ({"domain": 2, "generators": [[1, 1]], "close": "no"}, "close 'no'"),
+    ({"domain": 2, "generators": [[1, 1]], "close": 1}, "close 1"),
+    ({"domain": 2, "generators": [[1, 1]], "close": None}, "close None"),
+    ({"domain": 513, "generators": []}, "domain 513"),
+    ({"domain": 1_000_000, "generators": []}, "domain 1000000"),
 ])
 def test_malformed_file_names_the_field(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
@@ -138,6 +151,92 @@ def test_malformed_file_names_the_field(tmp_path, capsys, doc, field):
     code, out, err = run(capsys, "classify", str(path), "--submonoid", "x")
     assert code == 2 and out == ""
     assert field in err, err
+
+
+def test_huge_domain_refused_before_any_allocation(tmp_path):
+    # run under a 1 GiB address-space limit: building the identity map of
+    # {1..10^9} would need far more, so a late check fails with exit 3
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.json"
+    path.write_text('{"domain": 1000000000, "generators": []}')
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(clotkit.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clotkit.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, preexec_fn=limit,
+        timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "domain 1000000000" in proc.stderr
+
+
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda d: _write_bytes(d / "latin1.json", b'{"name": "\xff"}'),
+     "codec can't decode"),
+    (lambda d: str(d), "Is a directory"),
+    (lambda d: _write_bytes(d / "deep.json",
+                            b"[" * 100_000 + b"]" * 100_000),
+     "recursion"),
+])
+def test_unreadable_monoid_file_exits_2(tmp_path, capsys, make, message):
+    path = make(tmp_path)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2 and out == ""
+    assert path in err and message in err, err
+
+
+# documents that are often valid, with fields replaced by values of the
+# wrong type, booleans, out-of-range numbers, or dropped
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
+                 st.floats(allow_nan=False), st.text(max_size=3),
+                 st.lists(st.integers(-1, 6), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(0, 3),
+                                 max_size=2))
+VALID_TABLES = [
+    {"table": [[0]], "identity": 0},
+    {"table": [[0, 1], [1, 0]], "identity": 0, "order": 2,
+     "labels": ["1", "g"], "submonoids": {"all": [0, 1]}},
+    {"table": [[0, 1], [1, 1]], "identity": 0, "name": "U1"},
+]
+
+
+@st.composite
+def monoid_documents(draw):
+    if draw(st.booleans()):
+        doc = dict(draw(st.sampled_from(VALID_TABLES)))
+        keys = ["table", "identity", "order", "labels", "submonoids", "name"]
+    else:
+        k = draw(st.integers(0, 5))
+        maps = st.lists(st.integers(0, k + 1), min_size=k, max_size=k)
+        doc = {"domain": k,
+               "generators": draw(st.lists(maps, max_size=3)),
+               "close": draw(st.booleans())}
+        keys = ["domain", "generators", "close"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(JUNK)
+    return draw(st.one_of(st.just(doc), JUNK)) if draw(
+        st.integers(0, 9)) == 0 else doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=monoid_documents())
+def test_fuzzed_monoid_documents_exit_0_or_2(tmp_path, capsys, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code in (0, 2), (doc, err)
 
 
 def test_closure_command(t2_file, capsys):

@@ -1,7 +1,10 @@
+from itertools import combinations
 from itertools import product as iter_product
 
 import pytest
 
+from clotkit import monoid as monoid_module
+from clotkit.clots import _unit_pairs
 from clotkit.monoid import (
     BadIdentity,
     IndexOutOfRange,
@@ -24,6 +27,7 @@ from clotkit.monoid import (
     subset_group_verdict,
     validate_monoid,
 )
+from finite_oracles import pairwise_submonoid_closure
 
 Z2_TABLE = [[0, 1], [1, 0]]
 
@@ -151,6 +155,29 @@ def test_submonoid_closure_idempotent(t2, s3):
         assert submonoid_closure(s3, once).bits == once
 
 
+def test_submonoid_closure_matches_pairwise_oracle(t3, corpus):
+    m, _ = t3
+    seeds = [*combinations(range(m.order), 1),
+             *combinations(range(m.order), 2)]
+    for seed in seeds:
+        assert submonoid_closure(m, seed).bits == \
+            pairwise_submonoid_closure(m, seed), seed
+    # the conjugates x*u*y (xy = 1) that is_clot closes, on every corpus pair
+    for pair in corpus:
+        t = pair.monoid.table
+        seed = {t[t[x][u]][y] for x, y in _unit_pairs(pair.monoid)
+                for u in pair.mask}
+        assert submonoid_closure(pair.monoid, seed).bits == \
+            pairwise_submonoid_closure(pair.monoid, seed), pair.name
+
+
+def test_submonoid_closure_rejects_indices_outside(t2):
+    m, _ = t2
+    for seed in ({-1}, {m.order}):
+        with pytest.raises((IndexOutOfRange, IndexError)):
+            submonoid_closure(m, seed)
+
+
 def test_enumerate_submonoids_trivial_and_z2():
     one = validate_monoid([[0]], 0)
     enum = enumerate_submonoids(one)
@@ -174,6 +201,14 @@ def test_enumerate_submonoids_truncation(t3):
     m, _ = t3
     enum = enumerate_submonoids(m, cap=10)
     assert enum.truncated and len(enum.masks) == 10
+
+
+@pytest.mark.parametrize("cap", [1, 5, 6, 7])
+def test_enumerate_submonoids_cap_boundary(t2, cap):
+    enum = enumerate_submonoids(t2[0], cap=cap)
+    assert len(enum.masks) == min(cap, 6)
+    assert enum.truncated == (cap < 6)
+    assert enum.masks == enumerate_submonoids(t2[0]).masks[:cap]
 
 
 def test_submonoid_mask_validation(t2):
@@ -219,6 +254,14 @@ def test_restrict_to_submonoid(t3, s3):
     validate_monoid(s3.table, s3.identity)
 
 
+def test_restrict_to_submonoid_rejects_non_submonoids(t2):
+    m, _ = t2
+    sigma, c1 = m.labels.index("21"), m.labels.index("11")
+    for subset in ({sigma}, {m.identity, sigma, c1}, {m.identity, 9}):
+        with pytest.raises(MonoidError):
+            restrict_to_submonoid(m, subset)
+
+
 def test_constructed_monoids_revalidate(t2, t3, s3, klein, z4):
     for m in (t2[0], t3[0], s3, klein, z4):
         again = validate_monoid(m.table, m.identity, labels=m.labels)
@@ -245,6 +288,46 @@ def test_transformation_spec_unclosed_rejected():
         monoid_from_transformations(TransformationSpec(2, ((2, 1),), close=False))
     with pytest.raises(MonoidError):
         monoid_from_transformations(TransformationSpec(2, ((1, 3),)))
+
+
+def test_transformation_spec_unclosed_names_the_composite():
+    spec = TransformationSpec(2, ((1, 2), (1, 1), (2, 1)), close=False)
+    with pytest.raises(MonoidError,
+                       match=r"not closed under composition: \(2, 1\) after "
+                             r"\(1, 1\)"):
+        monoid_from_transformations(spec)
+    listed = TransformationSpec(2, ((1, 2), (1, 1), (2, 2)), close=False)
+    assert monoid_from_transformations(listed).labels == ("11", "12", "22")
+
+
+@pytest.mark.parametrize("close", [True, False])
+def test_transformation_order_cap_holds_for_both_close_values(
+        monkeypatch, close):
+    # all 256 maps of {1..4}, listed: closed, and above a cap of 100
+    maps = tuple(iter_product(range(1, 5), repeat=4))
+    monkeypatch.setattr(monoid_module, "DEFAULT_ORDER_CAP", 100)
+    with pytest.raises(OrderCapExceeded):
+        monoid_from_transformations(TransformationSpec(4, maps, close=close))
+
+
+@pytest.mark.parametrize("close", [True, False])
+def test_transformation_monoid_at_the_cap(monkeypatch, close):
+    maps = tuple(iter_product(range(1, 4), repeat=3))
+    monkeypatch.setattr(monoid_module, "DEFAULT_ORDER_CAP", 27)
+    spec = TransformationSpec(3, maps, close=close)
+    assert monoid_from_transformations(spec).table == \
+        full_transformation_monoid(3)[0].table
+
+
+def test_order_cap_is_read_at_call_time(monkeypatch, t2):
+    monkeypatch.setattr(monoid_module, "DEFAULT_ORDER_CAP", 3)
+    m, _ = t2
+    with pytest.raises(OrderCapExceeded):
+        validate_monoid(m.table, m.identity)
+    with pytest.raises(OrderCapExceeded):
+        full_transformation_monoid(2)
+    with pytest.raises(OrderCapExceeded):
+        direct_product(cyclic_group(2), cyclic_group(2))
 
 
 def test_largest_builtin_transformation_monoid():
