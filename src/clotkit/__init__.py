@@ -55,7 +55,6 @@ from .natfuncs import (
     doubling_refutation_report,
     ea,
     ea_compose,
-    ea_equal,
     ea_in_doubling_submonoid,
 )
 from .classify import (
@@ -66,7 +65,6 @@ from .classify import (
 )
 from .search import (
     Corpus,
-    CorpusConfig,
     build_corpus,
     default_corpus,
     open_question_report,

@@ -55,14 +55,25 @@ FLAG_ORDER = (
     "D", "Dr", "Dl", "Dh", "normal",
 )
 
-# adjacent inclusions of the two chains plus the homogeneity chain
+# The hierarchy, declared once.  Each edge (inner, outer) says that every
+# pair in the inner class lies in the outer one: the inclusions of the two
+# chains and of the homogeneity chain.
 IMPLICATIONS = (
     ("C5", "C4"), ("C4", "C3"), ("C3", "C2"), ("C2", "C1"), ("C1", "C"),
-    ("C(1,0)", "C0.5"), ("C0.5", "C0"), ("C0", "C"),
+    ("C(1,0)", "C0.5"), ("C0.5", "C0"), ("C0", "C"), ("C0.5", "C"),
     ("Dr", "D"), ("Dl", "D"), ("D", "C0.5"),
     ("C(4,0)", "Dr"), ("C(4,0)", "Dl"),
     ("normal", "D"),
 )
+
+# Each derived flag is the conjunction of two verdicts listed before it;
+# GROUP_M is the verdict that the submonoid is a group.
+GROUP_M = "group(M)"
+CONJUNCTIONS = {
+    "C5": ("C4", GROUP_M),
+    "Dh": ("Dr", GROUP_M),
+    **{f"C({i},0)": (f"C{i}", "C0") for i in range(1, 6)},
+}
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,14 @@ def flag_and(f1: Verdict, f2: Verdict) -> Verdict:
     return Verdict(True)
 
 
+def _derive(flags: dict[str, Verdict], m_group: Verdict) -> None:
+    """Fill in each derived flag that the classifier did not set itself."""
+    for name, (a, b) in CONJUNCTIONS.items():
+        if name not in flags:
+            flags[name] = flag_and(flags[a],
+                                   m_group if b == GROUP_M else flags[b])
+
+
 def pair_name(m: FiniteMonoid, subset) -> str:
     bits = sorted(as_subset(m, subset))
     return f"{m.name}:{{{','.join(str(b) for b in bits)}}}"
@@ -119,10 +138,7 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
         "Dl": replace(homogeneity(m, sub, "left"), note=""),
         "normal": replace(is_normal_submonoid(m, sub), note=""),
     }
-    flags["C5"] = flag_and(flags["C4"], m_group)
-    flags["Dh"] = flag_and(flags["Dr"], m_group)
-    for i in range(1, 6):
-        flags[f"C({i},0)"] = flag_and(flags[f"C{i}"], flags["C0"])
+    _derive(flags, m_group)
     return ClassificationReport(pair_name(m, sub), flags, m_group.holds)
 
 
@@ -169,33 +185,22 @@ def classify_bicyclic(M: bc.ResidueSubmonoid,
 
     flags["Dr"] = NOT_COMPUTED
     flags["Dl"] = NOT_COMPUTED
-    flags["Dh"] = flag_and(flags["Dr"], Verdict(m_group))
-
-    for i in range(1, 6):
-        flags[f"C({i},0)"] = flag_and(flags[f"C{i}"], flags["C0"])
-
+    _derive(flags, Verdict(m_group))
     return ClassificationReport(f"B:{M.describe()}", flags, m_group)
 
 
 def check_consistency(report: ClassificationReport) -> list[str]:
-    """Violated implications among computed flags; empty iff consistent."""
-    violations = []
-    flags = report.flags
-
-    def holds(name):
-        return flags[name].holds
-
-    for strong, weak in IMPLICATIONS:
-        if holds(strong) is True and holds(weak) is False:
-            violations.append(f"{strong}=>{weak}")
-    for i in range(1, 6):
-        parts = (holds(f"C{i}"), holds("C0"), holds(f"C({i},0)"))
-        if None not in parts and (parts[0] and parts[1]) != parts[2]:
-            violations.append(f"C({i},0)<=>C{i}&C0")
-    if (holds("Dh") is not None and holds("Dr") is not None
-            and report.m_is_group is not None):
-        if holds("Dh") != (holds("Dr") and report.m_is_group):
-            violations.append("Dh<=>Dr&group(M)")
+    """Violated edges and conjunctions of the hierarchy among computed
+    flags; empty iff consistent."""
+    holds = {name: f.holds for name, f in report.flags.items()}
+    holds[GROUP_M] = report.m_is_group
+    violations = [f"{inner}=>{outer}" for inner, outer in IMPLICATIONS
+                  if holds[inner] is True and holds[outer] is False]
+    for name, (a, b) in CONJUNCTIONS.items():
+        parts = (holds[a], holds[b])
+        both = False if False in parts else None if None in parts else True
+        if None not in (both, holds[name]) and both != holds[name]:
+            violations.append(f"{name}<=>{a}&{b}")
     return violations
 
 

@@ -13,7 +13,7 @@ import re
 import sys
 
 from . import bicyclic as bc
-from .classify import FLAG_ORDER, check_consistency, classify_pair, report_json
+from .classify import check_consistency, classify_pair, report_json
 from .clots import homogeneity, is_normal_submonoid
 from .monoid import (
     FiniteMonoid,
@@ -115,18 +115,17 @@ def _mask(m: FiniteMonoid, bits: frozenset) -> SubmonoidMask:
 
 def _print_report(report, m: FiniteMonoid) -> None:
     print(f"pair {report.pair}")
-    for name in FLAG_ORDER:
-        f = report.flags[name]
-        if f.holds is None:
+    for name, entry in report_json(report, m)["flags"].items():
+        if entry["holds"] is None:
             cell = "n/a"
         else:
-            cell = "✓" if f.holds else "✗"
-            if f.mode == "bounded":
+            cell = "✓" if entry["holds"] else "✗"
+            if entry["mode"] == "bounded":
                 cell += " (bounded)"
         line = f"  {name:<8}{cell}"
-        if f.witness:
-            w = witness_json(f.witness, m.labels.__getitem__)
-            line += "   witness " + ", ".join(f"{k}={v}" for k, v in w.items())
+        if "witness" in entry:
+            line += "   witness " + ", ".join(
+                f"{k}={v}" for k, v in entry["witness"].items())
         print(line)
     bad = check_consistency(report)
     print("consistency: " + ("ok" if not bad else "VIOLATED " + ", ".join(bad)))
@@ -423,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bicyclic)
 
-    for alias in ("examples", "paper-examples"):
-        p = sub.add_parser(alias, help="re-run the bundled worked examples")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_examples)
+    p = sub.add_parser("paper-examples", aliases=["examples"],
+                       help="re-run the bundled worked examples")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("hunt", help="clot-versus-compatibility hunt")
     p.add_argument("--bound", type=int, default=4,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Iterable, NamedTuple, Optional
 
 from .relations import Verdict
@@ -109,8 +108,10 @@ def full_transformation_monoid(k: int):
     """All k**k self-maps of {1..k} under (a*b)(x) = a(b(x)).
 
     Returns the monoid plus the named subsets "bijections" and "constants".
-    Maps are enumerated in lexicographic order of their image tuples and
-    labelled by their image words (map (2,1) of {1,2} is "21").
+    Maps are indexed in lexicographic order of their image tuples and
+    labelled by their image words (map (2,1) of {1,2} is "21").  They are
+    generated by a transposition, a k-cycle and the map that sends 2 to 1
+    and fixes the rest (Howie, Fundamentals of Semigroup Theory, 1995).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -118,24 +119,48 @@ def full_transformation_monoid(k: int):
     if n > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(
             f"T_{k} has {n} elements, cap {DEFAULT_ORDER_CAP}")
-    maps = list(iter_product(range(1, k + 1), repeat=k))
-    monoid = _transformation_table(maps, k, f"T{k}")
+    rest = tuple(range(3, k + 1))
+    generators = ([(2, 1) + rest, tuple(range(2, k + 1)) + (1,),
+                   (1, 1) + rest] if k > 1 else [])
+    monoid, maps = _transformation_table(k, generators, _compose, f"T{k}")
     bijections = frozenset(i for i, f in enumerate(maps) if len(set(f)) == k)
     constants = frozenset(i for i, f in enumerate(maps) if len(set(f)) == 1)
     return monoid, {"bijections": bijections, "constants": constants}
 
 
-def _transformation_table(maps: list, k: int, name: str) -> FiniteMonoid:
-    """Cayley table of maps of {1..k} that contain the identity and are
-    closed under composition, indexed in the given order and labelled by
-    their image words."""
+def _compose(f: tuple, g: tuple) -> tuple:
+    """The map f∘g of {1..k}, x -> f(g(x)), as its image tuple."""
+    return tuple(f[x - 1] for x in g)
+
+
+def _transformation_table(k: int, generators: list, compose,
+                          name: str) -> tuple[FiniteMonoid, list]:
+    """The monoid of maps of {1..k} generated by `generators` under
+    compose(f, g) = f∘g, indexed in lexicographic order of the maps and
+    labelled by their image words; also the maps in index order.
+
+    The right orbit of the identity map reaches every other element b as
+    b'·g, with b' reached before it and g a generator.  So column b of the
+    table is column b' followed by one step of the right Cayley graph,
+    a·b = (a·b')·g: n² lookups after n·|generators| compositions, where
+    composing every pair would cost n²·k.
+    """
+    ident = tuple(range(1, k + 1))
+    maps = sorted(_right_orbit(ident, generators, compose))
     index = {f: i for i, f in enumerate(maps)}
-    table = tuple(
-        tuple(index[tuple(a[b[x] - 1] for x in range(k))] for b in maps)
-        for a in maps
-    )
+    right = [[index[compose(f, g)] for g in generators] for f in maps]
+    e = index[ident]
+    columns = [None] * len(maps)   # columns[b][a] is a·b
+    columns[e] = range(len(maps))
+    reached = [e]
+    for x in reached:
+        for g, y in enumerate(right[x]):
+            if columns[y] is None:
+                columns[y] = [right[c][g] for c in columns[x]]
+                reached.append(y)
+    table = tuple(zip(*columns))
     labels = tuple("".join(map(str, f)) for f in maps)
-    return FiniteMonoid(table, index[tuple(range(1, k + 1))], labels, name)
+    return FiniteMonoid(table, e, labels, name), maps
 
 
 def direct_product(a: FiniteMonoid, b: FiniteMonoid) -> FiniteMonoid:
@@ -344,14 +369,14 @@ def monoid_from_transformations(spec: TransformationSpec) -> FiniteMonoid:
         raise MonoidError("close=false requires the identity map")
 
     def compose(f, g):
-        h = tuple(f[x - 1] for x in g)
+        h = _compose(f, g)
         if not spec.close and h not in listed:
             raise MonoidError(
                 f"maps not closed under composition: {f} after {g}")
         return h
 
-    elems = _right_orbit(ident, sorted(listed - {ident}), compose)
-    return _transformation_table(sorted(elems), k, f"T{k}-gen")
+    generators = sorted(listed - {ident})
+    return _transformation_table(k, generators, compose, f"T{k}-gen")[0]
 
 
 def monoid_to_dict(m: FiniteMonoid,

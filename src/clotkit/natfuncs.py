@@ -11,7 +11,6 @@ is 2^n x + 2^n - 1, which is not a power of the doubling map.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +38,8 @@ class EventuallyAffineMap:
 
 def ea(slope: int, offset: int, threshold: int = 1,
        exceptions=()) -> EventuallyAffineMap:
-    """Validated, normalized constructor."""
+    """Validated, normalized constructor.  The result has the minimal
+    threshold, a normal form, so `==` on maps is pointwise equality."""
     exceptions = tuple(int(v) for v in exceptions)
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -83,11 +83,6 @@ def ea_compose(outer: EventuallyAffineMap,
     return ea(slope, offset, raw_threshold, exceptions)
 
 
-def ea_equal(p: EventuallyAffineMap, q: EventuallyAffineMap) -> bool:
-    """Structural equality of normal forms, equivalent to pointwise equality."""
-    return p == q
-
-
 def ea_power(h: EventuallyAffineMap, n: int) -> EventuallyAffineMap:
     out = IDENTITY
     for _ in range(n):
@@ -101,26 +96,6 @@ def ea_in_doubling_submonoid(h: EventuallyAffineMap) -> Optional[int]:
         return None
     n = h.slope.bit_length() - 1
     return n if 1 << n == h.slope else None
-
-
-_LITERAL = re.compile(r"affine\((-?\d+),(-?\d+),(\d+)\)\{([^}]*)\}")
-
-
-def ea_from_literal(text: str) -> EventuallyAffineMap:
-    """Parse 'affine(a,b,T){x1:v1,x2:v2}' into a map."""
-    match = _LITERAL.fullmatch(text.replace(" ", ""))
-    if not match:
-        raise ValueError(f"bad map literal: {text!r}")
-    slope, offset, threshold = (int(match.group(i)) for i in (1, 2, 3))
-    pairs = {}
-    if match.group(4):
-        for item in match.group(4).split(","):
-            key, value = item.split(":")
-            pairs[int(key)] = int(value)
-    if set(pairs) != set(range(1, threshold)):
-        raise ValueError("exceptions must cover 1..threshold-1 exactly")
-    return ea(slope, offset, threshold,
-              tuple(pairs[x] for x in range(1, threshold)))
 
 
 def ea_to_literal(h: EventuallyAffineMap) -> str:
@@ -154,14 +129,14 @@ def doubling_refutation_report(nmax: int) -> DoublingRefutationReport:
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     fg = ea_compose(SHIFT_DOWN, SHIFT_UP)
-    fg_ok = ea_equal(fg, IDENTITY)
+    fg_ok = fg == IDENTITY
     rows = []
     for n in range(1, nmax + 1):
         composite = ea_compose(SHIFT_DOWN,
                                ea_compose(ea_power(DOUBLING, n), SHIFT_UP))
         expected = ea(2 ** n, 2 ** n - 1)
         membership = ea_in_doubling_submonoid(composite)
-        ok = ea_equal(composite, expected) and membership is None
+        ok = composite == expected and membership is None
         rows.append(RefutationRow(n, composite, membership, ok))
     passed = fg_ok and all(r.ok for r in rows)
     return DoublingRefutationReport(nmax, fg_ok, tuple(rows), passed)

@@ -5,7 +5,12 @@ from dataclasses import replace
 
 from clotkit.bicyclic import parity_submonoid, residue_submonoid
 from clotkit.classify import (
+    CONJUNCTIONS,
     FLAG_ORDER,
+    GROUP_M,
+    IMPLICATIONS,
+    NOT_COMPUTED,
+    ClassificationReport,
     check_consistency,
     classify_bicyclic,
     classify_pair,
@@ -72,6 +77,29 @@ def test_corrupted_report_is_flagged(s3):
     broken["C2"] = Verdict(False, witness={"x": 0})
     corrupted = type(report)(report.pair, broken, report.m_is_group)
     assert "C3=>C2" in check_consistency(corrupted)
+
+
+def test_every_edge_and_conjunction_is_checked():
+    unknown = {name: NOT_COMPUTED for name in FLAG_ORDER}
+    yes, no = Verdict(True), Verdict(False)
+    for inner, outer in IMPLICATIONS:
+        report = ClassificationReport(
+            "synthetic", {**unknown, inner: yes, outer: no}, None)
+        assert f"{inner}=>{outer}" in check_consistency(report)
+    for name, (a, b) in CONJUNCTIONS.items():
+        rule = f"{name}<=>{a}&{b}"
+        # both operands hold but the conjunction fails
+        if b == GROUP_M:
+            report = ClassificationReport(
+                "synthetic", {**unknown, a: yes, name: no}, True)
+        else:
+            report = ClassificationReport(
+                "synthetic", {**unknown, a: yes, b: yes, name: no}, None)
+        assert check_consistency(report) == [rule]
+        # one operand fails but the conjunction holds
+        report = ClassificationReport(
+            "synthetic", {**unknown, a: no, name: yes}, None)
+        assert rule in check_consistency(report)
 
 
 def test_bicyclic_parity_report():

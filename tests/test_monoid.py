@@ -101,13 +101,23 @@ def test_full_transformation_monoid_small():
 
 
 def test_full_transformation_table_matches_pointwise_composition():
-    for k in (2, 3):
+    for k in (2, 3, 4):
         m, _ = full_transformation_monoid(k)
         maps = [tuple(int(c) for c in label) for label in m.labels]
+        assert maps == sorted(iter_product(range(1, k + 1), repeat=k))
+        assert maps[m.identity] == tuple(range(1, k + 1))
         for i, a in enumerate(maps):
             for j, b in enumerate(maps):
                 composed = tuple(a[b[x] - 1] for x in range(k))
                 assert maps[m.table[i][j]] == composed
+
+
+def test_long_cycle_generates_the_cyclic_group():
+    # the t-th power of the 512-cycle x -> x + 1 sends 1 to t + 1, so it is
+    # the t-th map in lexicographic order, and the table is addition mod 512
+    cycle = tuple(range(2, 513)) + (1,)
+    m = monoid_from_transformations(TransformationSpec(512, (cycle,)))
+    assert (m.table, m.identity) == (cyclic_group(512).table, 0)
 
 
 def test_full_transformation_cap():

@@ -5,12 +5,11 @@ import pytest
 
 from clotkit import bicyclic as bc
 from clotkit import search
-from clotkit.classify import classify_pair
+from clotkit.classify import FLAG_ORDER, IMPLICATIONS, classify_pair
 from clotkit.monoid import full_transformation_monoid
 from clotkit.relations import Verdict
 from clotkit.search import (
     Corpus,
-    CorpusConfig,
     UnknownCategory,
     _closed_residue_sets,
     _closed_residue_submonoids,
@@ -45,10 +44,10 @@ def test_corpus_contains_canonical_pairs(corpus):
     assert (t3.table, frozenset(named3["bijections"])) in tables
 
 
-def test_empty_configuration_gives_empty_corpus():
-    config = CorpusConfig(zn_max=1, transformation_max=0,
-                          include_products=False)
-    assert len(build_corpus(config)) == 0
+def test_empty_corpus():
+    empty = Corpus(())
+    assert len(empty) == 0 and list(empty) == [] and empty.reports == ()
+    assert strictness_search(empty, "C3", "C4") is None
 
 
 def test_corpus_masks_are_valid_submonoids(corpus):
@@ -73,10 +72,14 @@ def test_strictness_witnesses(corpus):
     w = strictness_search(corpus, "Dr", "C(4,0)")
     assert w.name == "T2" and sorted(w.mask) == [1]
 
+    w = strictness_search(corpus, "D", "normal")
+    assert w.name == "T2" and sorted(w.mask) == [0, 1, 3]
+
 
 def test_strictness_witnesses_revalidate(corpus):
     for outer, inner in (("C3", "C4"), ("D", "Dl"), ("D", "Dr"),
-                         ("Dr", "C(4,0)"), ("C", "C0"), ("C0", "C0.5")):
+                         ("Dr", "C(4,0)"), ("C", "C0"), ("C0", "C0.5"),
+                         ("D", "normal")):
         w = strictness_search(corpus, outer, inner)
         if w is None:
             continue
@@ -114,8 +117,20 @@ def test_unknown_category_and_non_inclusions_rejected(corpus):
         strictness_search(corpus, "C5", "C3")  # wrong direction
 
 
+def test_strictness_search_accepts_exactly_the_edges(corpus):
+    accepted = set()
+    for outer in FLAG_ORDER:
+        for inner in FLAG_ORDER:
+            try:
+                strictness_search(corpus, outer, inner)
+            except UnknownCategory:
+                continue
+            accepted.add((inner, outer))
+    assert accepted == set(IMPLICATIONS) and len(accepted) == 15
+
+
 def test_open_question_report_empty_corpus():
-    report = open_question_report(Corpus((), False), moduli_bound=1)
+    report = open_question_report(Corpus(()), moduli_bound=1)
     assert report["finite_vacuity"]["pairs_checked"] == 0
     assert report["finite_vacuity"]["clot_pairs"] == 0
 
