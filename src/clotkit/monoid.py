@@ -137,7 +137,7 @@ def _transformation_table(k: int, generators: list, compose,
                           name: str) -> tuple[FiniteMonoid, list]:
     """The monoid of maps of {1..k} generated by `generators` under
     compose(f, g) = f∘g, indexed in lexicographic order of the maps and
-    labelled by their image words; also the maps in index order.
+    labelled by image words, comma-separated from 10 points on; and the maps.
 
     The right orbit of the identity map reaches every other element b as
     b'·g, with b' reached before it and g a generator.  So column b of the
@@ -159,7 +159,7 @@ def _transformation_table(k: int, generators: list, compose,
                 columns[y] = [right[c][g] for c in columns[x]]
                 reached.append(y)
     table = tuple(zip(*columns))
-    labels = tuple("".join(map(str, f)) for f in maps)
+    labels = tuple(("," if k >= 10 else "").join(map(str, f)) for f in maps)
     return FiniteMonoid(table, e, labels, name), maps
 
 
@@ -251,46 +251,53 @@ def submonoid_closure(m: FiniteMonoid, seed: Iterable[int]) -> SubmonoidMask:
     return SubmonoidMask(m, frozenset(orbit).union(gens))
 
 
-def _table_closure(both: list[list[int]], bits: int, c: int) -> int:
-    """The least set closed under a product table that holds the closed set
-    `bits` and the element c; both[x][y] is the bitmask of x*y and y*x.
-    Only a product with a new element can be new, so each new element is
-    multiplied by the members, new ones included."""
-    members = [x for x in range(len(both)) if bits >> x & 1]
-    bits |= 1 << c
-    members.append(c)
-    pending = [c]
-    while pending:
-        row = both[pending.pop()]
+def _extension(right: list[list[int]], members: list[int], bits: int,
+               gens: tuple[int, ...]) -> int:
+    """The least set closed under the product table `right` that holds the
+    closed set `bits` (its `members`, generated by gens[:-1]) and c =
+    gens[-1]: the set plus the right orbit of its products s·c under gens,
+    as every new element is s·c·w with w a word in gens."""
+    c = gens[-1]
+    new = 0
+    for s in members:
+        new |= right[s][c]
+    new &= ~bits
+    while new:
+        bits |= new
         products = 0
-        for y in members:
-            products |= row[y]
-        new = products & ~bits
         while new:
             low = new & -new
             new ^= low
-            bits |= low
-            z = low.bit_length() - 1
-            members.append(z)
-            pending.append(z)
+            row = right[low.bit_length() - 1]
+            for g in gens:
+                products |= row[g]
+        new = products & ~bits
     return bits
 
 
-def _closed_sets(both: list[list[int]], first: int,
+def _closed_sets(right: list[list[int]], one: int,
                  cap: Optional[int] = None) -> tuple[list[int], bool]:
-    """Bitmasks of the sets closed under `both` (see `_table_closure`) that
-    hold the closed set `first`, by breadth-first one-element extensions in
-    ascending element order; at most cap, flagged when one was left out."""
+    """Bitmasks of the sets closed under the product table `right`, where
+    right[x][y] is the bitmask of x*y, that hold `one`: breadth first from
+    the closure of {one}, each set extended by one element in ascending
+    order through the generators it was reached by; at most cap, flagged
+    when one was left out.  A multi-valued table needs x*(y*z) within
+    (x*y)*z, and `one` is a generator unless it is a right identity."""
+    n = len(right)
+    neutral = all(row[one] == 1 << x for x, row in enumerate(right))
+    first = _extension(right, [one], 1 << one, (one,))
+    gens = {first: () if neutral else (one,)}
     found = [first]
-    seen = {first}
     for bits in found:
-        for c in range(len(both)):
+        members = [x for x in range(n) if bits >> x & 1]
+        for c in range(n):
             if not bits >> c & 1:
-                grown = _table_closure(both, bits, c)
-                if grown not in seen:
+                reached_by = gens[bits] + (c,)
+                grown = _extension(right, members, bits, reached_by)
+                if grown not in gens:
                     if len(found) == cap:
                         return found, True
-                    seen.add(grown)
+                    gens[grown] = reached_by
                     found.append(grown)
     return found, False
 
@@ -306,10 +313,8 @@ def enumerate_submonoids(m: FiniteMonoid,
     cap, with the truncation flag set when one was left out."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    table = m.table
-    both = [[1 << tx[y] | 1 << table[y][x] for y in range(m.order)]
-            for x, tx in enumerate(table)]
-    found, truncated = _closed_sets(both, 1 << m.identity, cap)
+    right = [[1 << y for y in row] for row in m.table]
+    found, truncated = _closed_sets(right, m.identity, cap)
     masks = [SubmonoidMask(m, frozenset(
         i for i in range(m.order) if bits >> i & 1)) for bits in found]
     return SubmonoidEnumeration(masks, truncated)

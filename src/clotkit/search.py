@@ -19,7 +19,6 @@ from .clots import is_clot
 from .monoid import (
     FiniteMonoid,
     _closed_sets,
-    _table_closure,
     cyclic_group,
     direct_product,
     enumerate_submonoids,
@@ -170,14 +169,10 @@ def _residue_product_table(p: int, q: int) -> list[list[int]]:
 
 def _closed_residue_sets(p: int, q: int) -> list[frozenset]:
     """Every residue set mod (p, q) that holds (0, 0) and is closed under
-    the residue product table: the closed sets over the closure of
-    {(0, 0)}, listed in increasing order of their bitmasks (class (r, s)
-    is bit r*q + s)."""
-    table = _residue_product_table(p, q)
-    n = p * q
-    both = [[table[x][y] | table[y][x] for y in range(n)] for x in range(n)]
-    found, _ = _closed_sets(both, _table_closure(both, 0, 0))
-    return [frozenset(divmod(c, q) for c in range(n) if bits >> c & 1)
+    the residue product table, listed in increasing order of their bitmasks
+    (class (r, s) is bit r*q + s)."""
+    found, _ = _closed_sets(_residue_product_table(p, q), 0)
+    return [frozenset(divmod(c, q) for c in range(p * q) if bits >> c & 1)
             for bits in sorted(found)]
 
 

@@ -9,7 +9,10 @@ oracles for the decision procedures in clotkit.
 * `relation_flags`: reflexivity, symmetry, transitivity and translation
   stability of a relation;
 * `pairwise_submonoid_closure`: the generated submonoid by products of
-  every pair found, in both orders.
+  every pair found, in both orders;
+* `two_sided_closed_sets`: the closed sets of a product table, each
+  extension closed by multiplying every new element by every member in
+  both orders.
 """
 
 from __future__ import annotations
@@ -247,3 +250,58 @@ def pairwise_submonoid_closure(m: FiniteMonoid, seed) -> frozenset:
                     bits.add(z)
                     pending.append(z)
     return frozenset(bits)
+
+
+def _table_closure(both: list[list[int]], bits: int, c: int) -> int:
+    """The least set closed under a product table that holds the closed set
+    `bits` and the element c; both[x][y] is the bitmask of x*y and y*x.
+    Only a product with a new element can be new, so each new element is
+    multiplied by the members, new ones included."""
+    members = [x for x in range(len(both)) if bits >> x & 1]
+    bits |= 1 << c
+    members.append(c)
+    pending = [c]
+    while pending:
+        row = both[pending.pop()]
+        products = 0
+        for y in members:
+            products |= row[y]
+        new = products & ~bits
+        while new:
+            low = new & -new
+            new ^= low
+            bits |= low
+            z = low.bit_length() - 1
+            members.append(z)
+            pending.append(z)
+    return bits
+
+
+def _closed_sets(both: list[list[int]], first: int,
+                 cap: Optional[int] = None) -> tuple[list[int], bool]:
+    """Bitmasks of the sets closed under `both` (see `_table_closure`) that
+    hold the closed set `first`, by breadth-first one-element extensions in
+    ascending element order; at most cap, flagged when one was left out."""
+    found = [first]
+    seen = {first}
+    for bits in found:
+        for c in range(len(both)):
+            if not bits >> c & 1:
+                grown = _table_closure(both, bits, c)
+                if grown not in seen:
+                    if len(found) == cap:
+                        return found, True
+                    seen.add(grown)
+                    found.append(grown)
+    return found, False
+
+
+def two_sided_closed_sets(right: list[list[int]], one: int,
+                          cap: Optional[int] = None) -> tuple[list[int], bool]:
+    """The sets closed under the product table `right` (right[x][y] is the
+    bitmask of x*y) that hold `one`, in the order and with the truncation
+    flag of `clotkit.monoid._closed_sets`, found by closing each extension
+    on both sides instead of by right orbits."""
+    n = len(right)
+    both = [[right[x][y] | right[y][x] for y in range(n)] for x in range(n)]
+    return _closed_sets(both, _table_closure(both, 0, one), cap)

@@ -1,4 +1,4 @@
-"""Byte-for-byte checks of what clotkit prints, against the files in
+r"""Byte-for-byte checks of what clotkit prints, against the files in
 tests/golden/.
 
 The files pin verdicts, witnesses and their labels, so a refactor that
@@ -6,6 +6,12 @@ changes any byte of output fails here.  Rewrite them only for an intended
 output change, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+hunt_bound6.json is compared by the CI workflow only, since the hunt at
+moduli 6 takes about 2 s; rewrite it with
+
+    PYTHONPATH=src python -m clotkit.cli hunt --bound 6 --json \
+        > tests/golden/hunt_bound6.json
 """
 
 import contextlib

@@ -310,6 +310,19 @@ def test_transformation_spec_unclosed_names_the_composite():
     assert monoid_from_transformations(listed).labels == ("11", "12", "22")
 
 
+def test_transformation_labels_stay_distinct_on_ten_points_or_more():
+    # without a separator both generators would read 11134567891011
+    rest = tuple(range(3, 11)) + (11,)
+    spec = TransformationSpec(11, ((1, 11) + rest, (11, 1) + rest))
+    m = monoid_from_transformations(spec)
+    assert m.order == 4
+    assert len(set(m.labels)) == 4
+    assert "1,11,3,4,5,6,7,8,9,10,11" in m.labels
+    nine = TransformationSpec(9, ((2, 1, 3, 4, 5, 6, 7, 8, 9),))
+    assert sorted(monoid_from_transformations(nine).labels) == \
+        ["123456789", "213456789"]
+
+
 @pytest.mark.parametrize("close", [True, False])
 def test_transformation_order_cap_holds_for_both_close_values(
         monkeypatch, close):

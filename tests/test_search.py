@@ -6,7 +6,7 @@ import pytest
 from clotkit import bicyclic as bc
 from clotkit import search
 from clotkit.classify import FLAG_ORDER, IMPLICATIONS, classify_pair
-from clotkit.monoid import full_transformation_monoid
+from clotkit.monoid import _closed_sets, full_transformation_monoid
 from clotkit.relations import Verdict
 from clotkit.search import (
     Corpus,
@@ -19,6 +19,7 @@ from clotkit.search import (
     open_question_report,
     strictness_search,
 )
+from finite_oracles import two_sided_closed_sets
 
 
 def test_corpus_is_deterministic_and_deduplicated(corpus):
@@ -236,6 +237,41 @@ def test_table_closed_sets_are_the_validated_sets():
     for p, q in product(range(1, 4), repeat=2):
         assert _closed_residue_sets(p, q) == \
             [sub.residues for sub in _brute_force_residue_sets(p, q)], (p, q)
+
+
+def test_closed_sets_match_the_two_sided_search(corpus, t3):
+    monoids = {pair.monoid for pair in corpus} | {t3[0]}
+    for m in monoids:
+        right = [[1 << y for y in row] for row in m.table]
+        for cap in (1, 10, 170, None):
+            assert _closed_sets(right, m.identity, cap) == \
+                two_sided_closed_sets(right, m.identity, cap), (m.name, cap)
+
+
+def test_closed_residue_sets_match_the_two_sided_search():
+    for p, q in product(range(1, 7), repeat=2):
+        table = _residue_product_table(p, q)
+        assert _closed_sets(table, 0) == two_sided_closed_sets(table, 0), \
+            (p, q)
+
+
+def test_residue_products_are_associative_on_sets():
+    # x*(y*z) == (x*y)*z, so a closed set extended by c is the set plus the
+    # right orbit of its products s*c under its generators and c
+    for p, q in product(range(1, 5), repeat=2):
+        table = _residue_product_table(p, q)
+        n = p * q
+
+        def union(bits, times):
+            out = 0
+            for w in range(n):
+                if bits >> w & 1:
+                    out |= times(w)
+            return out
+
+        for x, y, z in product(range(n), repeat=3):
+            assert union(table[y][z], lambda w: table[x][w]) == \
+                union(table[x][y], lambda w: table[w][z]), (p, q, x, y, z)
 
 
 def test_closed_residue_submonoids_match_brute_force():
