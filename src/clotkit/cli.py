@@ -32,7 +32,7 @@ from .relations import (
     witness_json,
     zero_class,
 )
-from .search import open_question_report
+from .search import HUNT_MODULI_CEILING, open_question_report
 
 OK, BAD_INPUT, INTERNAL = 0, 2, 3
 
@@ -58,15 +58,16 @@ BOUNDED_SECTIONS = (
 
 
 # Largest --bound each command accepts, and the largest modulus of
-# bicyclic --mod, so that no argument starts work without limit.  hunt: the
-# whole command took 2.3 s at moduli 6; the bicyclic part grows with the
-# moduli.  bicyclic: the compatibility search took 1.6 s at bound 6 on
+# bicyclic --mod, so that no argument starts work without limit.  hunt:
+# search.HUNT_MODULI_CEILING, which open_question_report enforces too.
+# bicyclic: the compatibility search took 1.6 s at bound 6 on
 # mod(2,2) residues {(0,0),(1,1)}, the costliest of the residue submonoids
 # with moduli up to 6 (the whole monoid needs no scan), so the default is
 # also the ceiling.  --mod: validating a residue set multiplies its members
 # with exponents below 2*lcm(p, q), at most 4*lcm(p, q)**2 of them; moduli
 # up to 6, those the hunt reaches, keep that under 3,600.
-BOUND_CEILINGS = {"hunt": 6, "bicyclic": 6, "bicyclic --mod": 6}
+BOUND_CEILINGS = {"hunt": HUNT_MODULI_CEILING, "bicyclic": 6,
+                  "bicyclic --mod": 6}
 
 
 class InputError(Exception):

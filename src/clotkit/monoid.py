@@ -278,15 +278,13 @@ def _extension(right: list[list[int]], members: list[int], bits: int,
 def _closed_sets(right: list[list[int]], one: int,
                  cap: Optional[int] = None) -> tuple[list[int], bool]:
     """Bitmasks of the sets closed under the product table `right`, where
-    right[x][y] is the bitmask of x*y, that hold `one`: breadth first from
-    the closure of {one}, each set extended by one element in ascending
-    order through the generators it was reached by; at most cap, flagged
-    when one was left out.  A multi-valued table needs x*(y*z) within
-    (x*y)*z, and `one` is a generator unless it is a right identity."""
+    right[x][y] is the bitmask of x*y, that hold its identity `one`:
+    breadth first from {one}, each set extended by one element in
+    ascending order through the generators it was reached by; at most cap,
+    flagged when one was left out."""
     n = len(right)
-    neutral = all(row[one] == 1 << x for x, row in enumerate(right))
-    first = _extension(right, [one], 1 << one, (one,))
-    gens = {first: () if neutral else (one,)}
+    first = 1 << one
+    gens = {first: ()}
     found = [first]
     for bits in found:
         members = [x for x in range(n) if bits >> x & 1]

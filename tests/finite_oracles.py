@@ -12,13 +12,18 @@ oracles for the decision procedures in clotkit.
   every pair found, in both orders;
 * `two_sided_closed_sets`: the closed sets of a product table, each
   extension closed by multiplying every new element by every member in
-  both orders.
+  both orders;
+* `enumerated_residue_submonoids`: the bicyclic residue submonoids, as the
+  closed sets of the multi-valued product table of the residue classes,
+  deduplicated on their least periods.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional
 
+from clotkit import bicyclic as bc
 from clotkit.clots import _unit_pairs
 from clotkit.monoid import FiniteMonoid, MonoidError
 from clotkit.relations import Relation, Verdict, _bits, as_subset
@@ -305,3 +310,75 @@ def two_sided_closed_sets(right: list[list[int]], one: int,
     n = len(right)
     both = [[right[x][y] | right[y][x] for y in range(n)] for x in range(n)]
     return _closed_sets(both, _table_closure(both, 0, one), cap)
+
+
+def residue_product_table(p: int, q: int) -> list[list[int]]:
+    """table[c1][c2]: the bitmask of residue classes that products of an
+    element of class c1 by one of class c2 fall in, class (r, s) being bit
+    r*q + s.
+
+    The product y^n1 x^m1 * y^n2 x^m2 is y^(n1 + max(d, 0)) x^(m2 +
+    max(-d, 0)) with d = n2 - m1, so its class depends only on r1, s2 and d.
+    The differences d are taken between representatives in [0, 2*lcm(p, q)),
+    the range `residue_submonoid` proves exhaustive.
+    """
+    span = 2 * lcm(p, q)
+    # for (s1, r2): the shifts d mod p with d >= 0, and -d mod q with d < 0
+    up = [[set() for _ in range(p)] for _ in range(q)]
+    down = [[set() for _ in range(p)] for _ in range(q)]
+    for m1 in range(span):
+        for n2 in range(span):
+            d = n2 - m1
+            if d >= 0:
+                up[m1 % q][n2 % p].add(d % p)
+            else:
+                down[m1 % q][n2 % p].add(-d % q)
+    classes = [(r, s) for r in range(p) for s in range(q)]
+    table = []
+    for r1, s1 in classes:
+        row = []
+        for r2, s2 in classes:
+            bits = 0
+            for a in up[s1][r2]:
+                bits |= 1 << (((r1 + a) % p) * q + s2)
+            for b in down[s1][r2]:
+                bits |= 1 << (r1 * q + (s2 + b) % q)
+            row.append(bits)
+        table.append(row)
+    return table
+
+
+def closed_residue_sets(p: int, q: int) -> list[frozenset]:
+    """Every residue set mod (p, q) that holds (0, 0) and is closed under
+    the residue product table, listed in increasing order of their bitmasks
+    (class (r, s) is bit r*q + s)."""
+    found, _ = two_sided_closed_sets(residue_product_table(p, q), 0)
+    return [frozenset(divmod(c, q) for c in range(p * q) if bits >> c & 1)
+            for bits in sorted(found)]
+
+
+def _minimal_form(p: int, q: int, residues: frozenset) -> tuple:
+    """(p0, q0, residues mod (p0, q0)) for the least periods p0 | p and
+    q0 | q of the set in its y- and x-exponents.  The periods of a set are
+    intrinsic to it, so two residue presentations give the same triple
+    exactly when they define the same submonoid."""
+    p0 = next(t for t in range(1, p + 1) if p % t == 0 and all(
+        ((r + t) % p, s) in residues for r, s in residues))
+    q0 = next(t for t in range(1, q + 1) if q % t == 0 and all(
+        (r, (s + t) % q) in residues for r, s in residues))
+    return p0, q0, frozenset((r % p0, s % q0) for r, s in residues)
+
+
+def enumerated_residue_submonoids(moduli_bound: int):
+    """All residue submonoids with moduli <= bound, each in its first
+    presentation: by (p, q), then by the order of `closed_residue_sets`."""
+    out = []
+    seen = set()
+    for p in range(1, moduli_bound + 1):
+        for q in range(1, moduli_bound + 1):
+            for residues in closed_residue_sets(p, q):
+                key = _minimal_form(p, q, residues)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(bc.ResidueSubmonoid(p, q, residues))
+    return out

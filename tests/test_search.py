@@ -9,17 +9,21 @@ from clotkit.classify import FLAG_ORDER, IMPLICATIONS, classify_pair
 from clotkit.monoid import _closed_sets, full_transformation_monoid
 from clotkit.relations import Verdict
 from clotkit.search import (
+    HUNT_MODULI_CEILING,
     Corpus,
     UnknownCategory,
-    _closed_residue_sets,
     _closed_residue_submonoids,
-    _residue_product_table,
     build_corpus,
     infinite_strictness_evidence,
     open_question_report,
     strictness_search,
 )
-from finite_oracles import two_sided_closed_sets
+from finite_oracles import (
+    closed_residue_sets,
+    enumerated_residue_submonoids,
+    residue_product_table,
+    two_sided_closed_sets,
+)
 
 
 def test_corpus_is_deterministic_and_deduplicated(corpus):
@@ -136,6 +140,15 @@ def test_open_question_report_empty_corpus():
     assert report["finite_vacuity"]["clot_pairs"] == 0
 
 
+def test_open_question_report_rejects_moduli_outside_the_ceiling(
+        monkeypatch):
+    # refused before the default corpus is built
+    monkeypatch.setattr(search, "default_corpus", None)
+    for bound in (0, HUNT_MODULI_CEILING + 1):
+        with pytest.raises(ValueError, match=f"moduli_bound {bound} "):
+            open_question_report(moduli_bound=bound)
+
+
 def test_open_question_report_small_bound(corpus):
     report = open_question_report(corpus, moduli_bound=2)
     fin = report["finite_vacuity"]
@@ -184,9 +197,10 @@ def test_finite_vacuity_takes_c1_from_dedekind_finiteness(
 
 
 # ------------------------------------------------- residue submonoids
-# The brute-force enumeration the product table replaced, kept as the
-# oracle: every residue set is validated by residue_submonoid, and sets
-# are told apart by their membership on a common grid.
+# Two oracles for the closed form: the closed sets of the residue product
+# table (finite_oracles), and the brute-force enumeration that table
+# replaced, where every residue set is validated by residue_submonoid and
+# sets are told apart by their membership on a common grid.
 
 def _brute_force_residue_sets(p, q):
     residues = [(r, s) for r in range(p) for s in range(q)
@@ -228,14 +242,14 @@ def test_residue_product_table_matches_all_four_exponents():
             c1, c2 = n1 % p * q + m1 % q, n2 % p * q + m2 % q
             expected[c1, c2] = (expected.get((c1, c2), 0)
                                 | 1 << (prod.n % p * q + prod.m % q))
-        table = _residue_product_table(p, q)
+        table = residue_product_table(p, q)
         assert {(c1, c2): table[c1][c2] for c1 in range(p * q)
                 for c2 in range(p * q)} == expected, (p, q)
 
 
 def test_table_closed_sets_are_the_validated_sets():
     for p, q in product(range(1, 4), repeat=2):
-        assert _closed_residue_sets(p, q) == \
+        assert closed_residue_sets(p, q) == \
             [sub.residues for sub in _brute_force_residue_sets(p, q)], (p, q)
 
 
@@ -248,36 +262,24 @@ def test_closed_sets_match_the_two_sided_search(corpus, t3):
                 two_sided_closed_sets(right, m.identity, cap), (m.name, cap)
 
 
-def test_closed_residue_sets_match_the_two_sided_search():
-    for p, q in product(range(1, 7), repeat=2):
-        table = _residue_product_table(p, q)
-        assert _closed_sets(table, 0) == two_sided_closed_sets(table, 0), \
-            (p, q)
-
-
-def test_residue_products_are_associative_on_sets():
-    # x*(y*z) == (x*y)*z, so a closed set extended by c is the set plus the
-    # right orbit of its products s*c under its generators and c
-    for p, q in product(range(1, 5), repeat=2):
-        table = _residue_product_table(p, q)
-        n = p * q
-
-        def union(bits, times):
-            out = 0
-            for w in range(n):
-                if bits >> w & 1:
-                    out |= times(w)
-            return out
-
-        for x, y, z in product(range(n), repeat=3):
-            assert union(table[y][z], lambda w: table[x][w]) == \
-                union(table[x][y], lambda w: table[w][z]), (p, q, x, y, z)
-
-
 def test_closed_residue_submonoids_match_brute_force():
     for bound in range(1, 4):
-        assert _closed_residue_submonoids(bound) == \
+        assert enumerated_residue_submonoids(bound) == \
             _brute_force_closed_residue_submonoids(bound), bound
+
+
+def test_closed_form_matches_the_table_enumeration():
+    # list equality: the same submonoids, presentations and order
+    for bound in range(1, HUNT_MODULI_CEILING + 1):
+        assert _closed_residue_submonoids(bound) == \
+            enumerated_residue_submonoids(bound), bound
+
+
+def test_closed_form_lists_validated_submonoids():
+    for bound in range(1, HUNT_MODULI_CEILING + 1):
+        assert len(_closed_residue_submonoids(bound)) == 2 ** bound - 1
+    for sub in _closed_residue_submonoids(HUNT_MODULI_CEILING):
+        assert bc.residue_submonoid(sub.p, sub.p, sub.residues) == sub
 
 
 def test_closed_residue_submonoids_at_moduli_four():
