@@ -104,12 +104,37 @@ def flag_and(f1: Verdict, f2: Verdict) -> Verdict:
     return Verdict(True)
 
 
-def _derive(flags: dict[str, Verdict], m_group: Verdict) -> None:
-    """Fill in each derived flag that the classifier did not set itself."""
-    for name, (a, b) in CONJUNCTIONS.items():
-        if name not in flags:
-            flags[name] = flag_and(flags[a],
-                                   m_group if b == GROUP_M else flags[b])
+def _infer(flags: dict[str, Verdict], m_group: Verdict) -> list[str]:
+    """Settle in place every n/a flag that the hierarchy decides; return
+    the violated edges and conjunctions.  Each round fills the conjunctions
+    (the flag_and of their operands), then crosses the edges: a proved
+    inner flag proves the outer one, a refuted outer flag refutes the inner
+    one, and the settling verdict is copied with a note naming the edge.
+    Conjunctions go first: they take an operand the classifier set."""
+    for name in FLAG_ORDER:
+        flags.setdefault(name, NOT_COMPUTED)
+
+    def conjunction(a: str, b: str) -> Verdict:
+        return flag_and(flags[a], m_group if b == GROUP_M else flags[b])
+
+    changed = True
+    while changed:
+        changed = False
+        for name, (a, b) in CONJUNCTIONS.items():
+            if flags[name].holds is None:
+                flags[name] = conjunction(a, b)
+                changed |= flags[name].holds is not None
+        for inner, outer in IMPLICATIONS:
+            for src, dst, holds in ((inner, outer, True),
+                                    (outer, inner, False)):
+                if flags[src].holds is holds and flags[dst].holds is None:
+                    flags[dst] = replace(flags[src],
+                                         note=f"by {inner} ⊆ {outer}")
+                    changed = True
+    return ([f"{i}=>{o}" for i, o in IMPLICATIONS
+             if flags[i].holds is True and flags[o].holds is False]
+            + [f"{n}<=>{a}&{b}" for n, (a, b) in CONJUNCTIONS.items()
+               if {conjunction(a, b).holds, flags[n].holds} == {True, False}])
 
 
 def pair_name(m: FiniteMonoid, subset) -> str:
@@ -138,7 +163,7 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
         "Dl": replace(homogeneity(m, sub, "left"), note=""),
         "normal": replace(is_normal_submonoid(m, sub), note=""),
     }
-    _derive(flags, m_group)
+    _infer(flags, m_group)
     return ClassificationReport(pair_name(m, sub), flags, m_group.holds)
 
 
@@ -146,62 +171,36 @@ def classify_bicyclic(M: bc.ResidueSubmonoid,
                       bound: int = 6) -> ClassificationReport:
     """Report for a pair (bicyclic monoid, residue submonoid).
 
-    Refutations from the bounded scans are exact; bounded passes are
-    labelled as such; flags without a procedure here stay n/a.
+    C3, C1 and C0, and on the whole monoid C2 and normal, come from their
+    procedures: a refutation by a bounded scan is exact, a pass bounded.
+    The hierarchy settles what it can of the rest; the others stay n/a.
     """
-    flags: dict[str, Verdict] = {"C": Verdict(True)}
-
     # the generator pair x, y has xy = 1 but yx = yx != 1
     assert bc.bmul(bc.X, bc.Y) == bc.ONE and bc.bmul(bc.Y, bc.X) != bc.ONE
-    unit_witness = {"x": bc.X, "y": bc.Y}
-    flags["C3"] = Verdict(False, witness=unit_witness,
-                          note="xy = 1 but yx differs from 1")
-    flags["C4"] = Verdict(False, witness=unit_witness,
-                          note="a group would force yx = 1 from xy = 1")
-    # every residue submonoid contains the non-invertible element x^q
-    m_group = False
-    flags["C5"] = Verdict(False, witness={"a": bc.BicyclicElement(0, M.q)},
-                          note="contains a non-invertible power of x")
-
-    flags["C1"] = bc.b_internality_search(M, bound)
+    flags: dict[str, Verdict] = {
+        "C": Verdict(True),
+        "C3": Verdict(False, witness={"x": bc.X, "y": bc.Y},
+                      note="xy = 1 but yx differs from 1"),
+        "C1": bc.b_internality_search(M, bound),
+        "C0": bc.b_unit_insertion_condition(M, bound),
+    }
     if M.is_full:
-        flags["C0"] = Verdict(True, note="the whole monoid")
         flags["C2"] = Verdict(True, note="all products land in the monoid")
-        flags["C0.5"] = Verdict(True, note="zero-class of the total relation")
-        flags["D"] = Verdict(True, note="zero-class of the total preorder")
         flags["normal"] = Verdict(True,
                                   note="zero-class of the total congruence")
-    else:
-        flags["C0"] = bc.b_unit_insertion_condition(M, bound)
-        if flags["C0"].holds is False:
-            flags["C0.5"] = Verdict(False, witness=flags["C0"].witness,
-                                    note="a clot would satisfy the "
-                                         "zero-class condition")
-        else:
-            flags["C0.5"] = NOT_COMPUTED
-        flags["C2"] = NOT_COMPUTED
-        flags["D"] = NOT_COMPUTED
-        flags["normal"] = NOT_COMPUTED
-
-    flags["Dr"] = NOT_COMPUTED
-    flags["Dl"] = NOT_COMPUTED
-    _derive(flags, Verdict(m_group))
-    return ClassificationReport(f"B:{M.describe()}", flags, m_group)
+    # every residue submonoid contains the non-invertible element x^q
+    m_group = Verdict(False, witness={"a": bc.BicyclicElement(0, M.q)},
+                      note="contains a non-invertible power of x")
+    _infer(flags, m_group)
+    return ClassificationReport(f"B:{M.describe()}", flags, m_group.holds)
 
 
 def check_consistency(report: ClassificationReport) -> list[str]:
-    """Violated edges and conjunctions of the hierarchy among computed
-    flags; empty iff consistent."""
-    holds = {name: f.holds for name, f in report.flags.items()}
-    holds[GROUP_M] = report.m_is_group
-    violations = [f"{inner}=>{outer}" for inner, outer in IMPLICATIONS
-                  if holds[inner] is True and holds[outer] is False]
-    for name, (a, b) in CONJUNCTIONS.items():
-        parts = (holds[a], holds[b])
-        both = False if False in parts else None if None in parts else True
-        if None not in (both, holds[name]) and both != holds[name]:
-            violations.append(f"{name}<=>{a}&{b}")
-    return violations
+    """Violated edges and conjunctions of the hierarchy, found by running
+    the inference on a copy of the report's flags; empty iff consistent."""
+    m_group = (NOT_COMPUTED if report.m_is_group is None
+               else Verdict(report.m_is_group))
+    return _infer(dict(report.flags), m_group)
 
 
 def report_json(report: ClassificationReport,

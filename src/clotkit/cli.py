@@ -16,6 +16,7 @@ from . import bicyclic as bc
 from .classify import check_consistency, classify_pair, report_json
 from .clots import homogeneity, is_normal_submonoid
 from .monoid import (
+    DEFAULT_ENUM_CAP,
     FiniteMonoid,
     MonoidError,
     SubmonoidMask,
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--submonoid", help="named subset or index list")
     p.add_argument("--all-submonoids", action="store_true")
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 

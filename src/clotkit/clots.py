@@ -7,7 +7,7 @@ the first counterexample in that order.
 
 from __future__ import annotations
 
-from .monoid import FiniteMonoid, submonoid_closure
+from .monoid import FiniteMonoid, _right_orbit
 from .relations import (
     Relation,
     Verdict,
@@ -88,7 +88,7 @@ def is_clot(m: FiniteMonoid, subset) -> Verdict:
     table = m.table
     conjugates = {table[table[x][u]][y] for x, y in _unit_pairs(m)
                   for u in sub}
-    zc = submonoid_closure(m, conjugates).bits
+    zc = set(_right_orbit(m.identity, conjugates, lambda x, g: table[x][g]))
     note = "submonoid generated by conjugates by units"
     if zc == sub:
         return Verdict(True, note=note)

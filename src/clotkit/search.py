@@ -12,6 +12,7 @@ from . import bicyclic as bc
 from .classify import (
     IMPLICATIONS,
     ClassificationReport,
+    classify_bicyclic,
     classify_pair,
     pair_name,
 )
@@ -118,14 +119,12 @@ def infinite_strictness_evidence(bound: int = 4, nmax: int = 5) -> dict:
     """Computational evidence behind the inclusions that no finite pair can
     separate: the bicyclic parity pair escapes C1 and C0, and the doubling
     powers escape the zero-class of their reflexive syntactic relation."""
-    parity = bc.parity_submonoid()
-    internality = bc.b_internality_search(parity, bound)
-    insertion = bc.b_unit_insertion_condition(parity, bound)
+    parity = classify_bicyclic(bc.parity_submonoid(), bound)
     from .natfuncs import doubling_refutation_report
     doubling = doubling_refutation_report(nmax)
     return {
-        "bicyclic_parity_not_C1": not internality.holds,
-        "bicyclic_parity_not_C0": not insertion.holds,
+        "bicyclic_parity_not_C1": not parity.holds("C1"),
+        "bicyclic_parity_not_C0": not parity.holds("C0"),
         "doubling_powers_escape_zero_class": doubling.passed,
     }
 

@@ -11,6 +11,7 @@ from clotkit.classify import (
     IMPLICATIONS,
     NOT_COMPUTED,
     ClassificationReport,
+    _infer,
     check_consistency,
     classify_bicyclic,
     classify_pair,
@@ -18,6 +19,7 @@ from clotkit.classify import (
 )
 from clotkit.clots import is_clot
 from clotkit.monoid import full_transformation_monoid
+from clotkit.search import _closed_residue_submonoids
 from clotkit.relations import (
     Verdict,
     syntactic_congruence,
@@ -102,6 +104,81 @@ def test_every_edge_and_conjunction_is_checked():
         assert rule in check_consistency(report)
 
 
+def _inferred(given, m_group=NOT_COMPUTED):
+    """The flags the pass settles from the given ones, and its violations."""
+    flags = dict(given)
+    return flags, _infer(flags, m_group)
+
+
+def test_refuted_c1_refutes_the_chain_above_it():
+    witness = {"x": 7}
+    flags, bad = _inferred({"C1": Verdict(False, witness=witness)})
+    assert bad == []
+    for name in ("C2", "C3", "C4", "C5"):
+        assert flags[name].holds is False and flags[name].mode == "exact"
+        assert flags[name].witness == witness
+    for inner, outer in (("C2", "C1"), ("C3", "C2"), ("C4", "C3")):
+        assert flags[inner].note == f"by {inner} ⊆ {outer}"
+    # C5 = C4 ∧ group(M) takes the failing operand as it is
+    assert flags["C5"] == flags["C4"]
+    for i in range(1, 6):
+        assert flags[f"C({i},0)"].holds is False
+        assert flags[f"C({i},0)"].witness == witness
+    # nothing decides the other chain
+    assert flags["C"].holds is None and flags["C0"].holds is None
+
+
+def test_proved_normal_proves_every_flag_outside_it():
+    flags, bad = _inferred({"normal": Verdict(True)})
+    assert bad == []
+    for inner, outer in (("normal", "D"), ("D", "C0.5"), ("C0.5", "C0"),
+                         ("C0", "C")):
+        assert flags[outer] == Verdict(True, note=f"by {inner} ⊆ {outer}")
+    # D does not prove homogeneity
+    assert flags["Dr"].holds is None and flags["Dl"].holds is None
+
+
+def test_bounded_pass_propagates_with_its_bound():
+    flags, _ = _inferred({"C(1,0)": Verdict(True, "bounded", bound=5)})
+    for name in ("C0.5", "C0", "C"):
+        assert flags[name].holds is True
+        assert flags[name].mode == "bounded" and flags[name].bound == 5
+
+
+def test_a_flag_the_classifier_set_is_never_overwritten():
+    own = Verdict(True, note="own")
+    given = {"C1": Verdict(False, witness={"x": 0}), "C2": own,
+             "C5": Verdict(False, note="set")}
+    flags, bad = _inferred(given, Verdict(False, witness={"a": 1}))
+    assert flags["C2"] is own and flags["C5"] is given["C5"]
+    assert bad == ["C2=>C1"]
+
+
+def test_consistency_sees_through_an_unset_flag():
+    # normal ⊆ D ⊆ C0.5: the gap at D hides no contradiction
+    report = ClassificationReport(
+        "synthetic", {**{name: NOT_COMPUTED for name in FLAG_ORDER},
+                      "normal": Verdict(True), "C0.5": Verdict(False)}, None)
+    assert check_consistency(report) == ["normal=>D"]
+    assert report.flags["D"] is NOT_COMPUTED
+
+
+def test_bicyclic_residue_reports_are_settled():
+    for sub in _closed_residue_submonoids(4):
+        report = classify_bicyclic(sub, 4)
+        assert check_consistency(report) == [], sub.describe()
+        again = dict(report.flags)
+        assert _infer(again, Verdict(False)) == []
+        assert again == report.flags
+        unset = {n for n, f in report.flags.items() if f.mode == "n/a"}
+        # D_p = Δ_p(Z_p) has every diagonal class
+        if len(sub.residues) < sub.p:
+            assert unset == set(), sub.describe()
+        elif not sub.is_full:
+            assert report.flags["C0.5"] == Verdict(
+                True, "bounded", note="by C(1,0) ⊆ C0.5", bound=4)
+
+
 def test_bicyclic_parity_report():
     report = classify_bicyclic(parity_submonoid(), bound=4)
     f = report.flags
@@ -110,8 +187,10 @@ def test_bicyclic_parity_report():
     assert f["C0.5"].holds is False
     assert f["C3"].holds is False and f["C4"].holds is False
     assert f["C5"].holds is False
-    assert f["C2"].holds is None and f["C2"].mode == "n/a"
-    assert f["D"].holds is None
+    # C2 and D are refuted through C2 ⊆ C1 and D ⊆ C0.5
+    assert f["C2"].holds is False and f["C2"].mode == "exact"
+    assert f["C2"].note == "by C2 ⊆ C1"
+    assert f["D"].holds is False and f["D"].mode == "exact"
     assert f["C(1,0)"].holds is False
     assert check_consistency(report) == []
 
@@ -133,7 +212,9 @@ def test_bicyclic_diagonal_report_is_bounded():
     f = report.flags
     assert f["C0"].holds is True and f["C0"].mode == "bounded"
     assert f["C1"].holds is True and f["C1"].mode == "bounded"
-    assert f["C0.5"].holds is None
+    # a bounded pass through C(1,0) ⊆ C0.5, at the scans' bound
+    assert f["C0.5"] == Verdict(True, "bounded", note="by C(1,0) ⊆ C0.5",
+                                bound=3)
     assert check_consistency(report) == []
 
 
