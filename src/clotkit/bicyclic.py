@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .relations import Verdict
@@ -142,6 +142,22 @@ class ResidueSubmonoid:
     @property
     def is_full(self) -> bool:
         return len(self.residues) == self.p * self.q
+
+    @property
+    def diagonal_modulus(self) -> Optional[int]:
+        """The d >= 2 with this submonoid equal to the diagonal
+        D_d = {y^n x^m : n ≡ m (mod d)}, or None.  Since y^d lies in D_d,
+        a presentation mod (p, q) of D_d has d dividing both moduli; then
+        membership repeats with periods p and q, so comparing it on the
+        one period grid [0, p) x [0, q) decides the equality."""
+        p, q = self.p, self.q
+        g = gcd(p, q)
+        for d in range(2, g + 1):
+            if g % d == 0 and self.residues == {
+                    (r, s) for r in range(p) for s in range(q)
+                    if (r - s) % d == 0}:
+                return d
+        return None
 
     def describe(self) -> str:
         res = ",".join(f"({r},{s})" for r, s in sorted(self.residues))

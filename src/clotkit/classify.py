@@ -23,9 +23,8 @@ stated bound) or "n/a" (not computed for this kind of pair).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import bicyclic as bc
 from .clots import (
     homogeneity,
     is_clot,
@@ -47,6 +46,9 @@ from .relations import (
     witness_json,
     zero_class,
 )
+
+if TYPE_CHECKING:
+    from .bicyclic import ResidueSubmonoid
 
 FLAG_ORDER = (
     "C", "C1", "C2", "C3", "C4", "C5",
@@ -167,27 +169,54 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
     return ClassificationReport(pair_name(m, sub), flags, m_group.holds)
 
 
-def classify_bicyclic(M: bc.ResidueSubmonoid,
+def classify_bicyclic(M: ResidueSubmonoid,
                       bound: int = 6) -> ClassificationReport:
     """Report for a pair (bicyclic monoid, residue submonoid).
 
-    C3, C1 and C0, and on the whole monoid C2 and normal, come from their
-    procedures: a refutation by a bounded scan is exact, a pass bounded.
-    The hierarchy settles what it can of the rest; the others stay n/a.
+    C3 fails on every pair.  On a diagonal D_d = {y^n x^m : n ≡ m (mod d)},
+    d >= 2, every element has a factorization of 1, so R is the kernel of
+    the additive map φ_d(y^n x^m) = n - m mod d, and C1, C0, C2 and normal
+    hold exactly.  On the whole monoid, C2 and normal hold and Dr and Dl
+    fail exactly.  Elsewhere C1 and C0 come from their procedures: a
+    refutation by a bounded scan is exact, a pass bounded.  The hierarchy
+    settles what it can of the rest; the others stay n/a.
     """
+    from . import bicyclic as bc
+
+    if bound < 1:
+        raise bc.BicyclicError("bound must be >= 1")
     # the generator pair x, y has xy = 1 but yx = yx != 1
     assert bc.bmul(bc.X, bc.Y) == bc.ONE and bc.bmul(bc.Y, bc.X) != bc.ONE
     flags: dict[str, Verdict] = {
         "C": Verdict(True),
         "C3": Verdict(False, witness={"x": bc.X, "y": bc.Y},
                       note="xy = 1 but yx differs from 1"),
-        "C1": bc.b_internality_search(M, bound),
-        "C0": bc.b_unit_insertion_condition(M, bound),
     }
+    d = M.diagonal_modulus
+    if d is not None:
+        ker = f"ker φ_{d}"
+        flags.update({
+            "C1": Verdict(True, note=f"R = {ker} is compatible: φ_{d}(y^n "
+                                     f"x^m) = n - m mod {d} is additive"),
+            "C0": Verdict(True, note=f"M = {ker} is the zero-class of "
+                                     f"R = {ker}"),
+            "C2": Verdict(True, note=f"xy = 1 and xs, ty in {ker} give ts "
+                                     f"in {ker}, as φ_{d} is additive"),
+            "normal": Verdict(True, note=f"M = {ker} is the zero-class of "
+                                         f"the syntactic congruence {ker}"),
+        })
+    else:
+        flags["C1"] = bc.b_internality_search(M, bound)
+        flags["C0"] = bc.b_unit_insertion_condition(M, bound)
     if M.is_full:
         flags["C2"] = Verdict(True, note="all products land in the monoid")
         flags["normal"] = Verdict(True,
                                   note="zero-class of the total congruence")
+        # aB ⊆ Ba fails at a = x, and Ba ⊆ aB at a = y
+        flags["Dr"] = Verdict(False, witness={"a": bc.X, "u": bc.Y},
+                              note="xy = 1 is not in Bx")
+        flags["Dl"] = Verdict(False, witness={"a": bc.Y, "u": bc.X},
+                              note="1 = xy is in By but not in yB")
     # every residue submonoid contains the non-invertible element x^q
     m_group = Verdict(False, witness={"a": bc.BicyclicElement(0, M.q)},
                       note="contains a non-invertible power of x")

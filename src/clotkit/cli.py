@@ -24,7 +24,6 @@ from .monoid import (
     full_transformation_monoid,
     load_monoid,
 )
-from .natfuncs import doubling_refutation_report, ea_to_literal
 from .relations import (
     internal_reflexive_closure,
     syntactic_congruence,
@@ -299,6 +298,8 @@ def _example_bicyclic() -> tuple[list[str], bool]:
 
 
 def _example_doubling() -> tuple[list[str], bool]:
+    from .natfuncs import doubling_refutation_report, ea_to_literal
+
     report = doubling_refutation_report(5)
     lines = [f"  f*g = identity: {str(report.fg_is_identity).lower()}"]
     for row in report.rows:

@@ -3,7 +3,20 @@ import json
 import weakref
 from dataclasses import replace
 
-from clotkit.bicyclic import parity_submonoid, residue_submonoid
+import pytest
+
+from clotkit.bicyclic import (
+    ONE,
+    X,
+    Y,
+    BicyclicElement,
+    BicyclicError,
+    b_internality_search,
+    b_unit_insertion_condition,
+    bmul,
+    parity_submonoid,
+    residue_submonoid,
+)
 from clotkit.classify import (
     CONJUNCTIONS,
     FLAG_ORDER,
@@ -171,12 +184,47 @@ def test_bicyclic_residue_reports_are_settled():
         assert _infer(again, Verdict(False)) == []
         assert again == report.flags
         unset = {n for n, f in report.flags.items() if f.mode == "n/a"}
-        # D_p = Δ_p(Z_p) has every diagonal class
-        if len(sub.residues) < sub.p:
+        # D_p = Δ_p(Z_p) has every diagonal class; on the non-full ones
+        # only the homogeneity flags are left open
+        if len(sub.residues) < sub.p or sub.is_full:
             assert unset == set(), sub.describe()
-        elif not sub.is_full:
-            assert report.flags["C0.5"] == Verdict(
-                True, "bounded", note="by C(1,0) ⊆ C0.5", bound=4)
+        else:
+            assert unset == {"Dr", "Dl"}, sub.describe()
+
+
+def _diagonal(p, q, d):
+    return residue_submonoid(p, q, {(r, s) for r in range(p)
+                                    for s in range(q) if (r - s) % d == 0})
+
+
+def test_diagonal_shortcut_agrees_with_the_scans():
+    # every D_d with moduli <= 6, in each presentation mod (p, q) with
+    # d | gcd(p, q), is recognised; the bounded procedures, which
+    # classify_bicyclic skips on it, are the oracle and both pass
+    for p in range(2, 7):
+        for q in range(2, 7):
+            for d in range(2, 7):
+                if p % d == 0 and q % d == 0:
+                    sub = _diagonal(p, q, d)
+                    assert sub.diagonal_modulus == d, sub.describe()
+                    assert b_internality_search(sub, 3).holds, sub.describe()
+                    assert b_unit_insertion_condition(sub, 3).holds, (
+                        sub.describe())
+
+
+def test_diagonal_reports_have_no_bounded_flag():
+    closed = _closed_residue_submonoids(6)
+    for sub in closed:
+        # in the closed form, D_d = Δ_d(Z_d) presented mod (d, d)
+        expected = sub.p if len(sub.residues) == sub.p > 1 else None
+        assert sub.diagonal_modulus == expected, sub.describe()
+    for sub in closed + [
+            residue_submonoid(2, 4, {(0, 0), (0, 2), (1, 1), (1, 3)})]:
+        report = classify_bicyclic(sub, 3)
+        assert check_consistency(report) == [], sub.describe()
+        if sub.diagonal_modulus is not None:
+            assert all(f.mode != "bounded" for f in report.flags.values()), (
+                sub.describe())
 
 
 def test_bicyclic_parity_report():
@@ -206,16 +254,41 @@ def test_bicyclic_whole_monoid_report():
     assert check_consistency(report) == []
 
 
-def test_bicyclic_diagonal_report_is_bounded():
+def test_bicyclic_whole_monoid_is_not_homogeneous():
+    report = classify_bicyclic(residue_submonoid(1, 1, {(0, 0)}), bound=3)
+    right, left = report.flags["Dr"], report.flags["Dl"]
+    assert (right.holds, right.mode, right.witness) == (
+        False, "exact", {"a": X, "u": Y})
+    assert (left.holds, left.mode, left.witness) == (
+        False, "exact", {"a": Y, "u": X})
+    elements = [BicyclicElement(n, m) for n in range(6) for m in range(6)]
+    # Dr: a*u = xy = 1 lies outside Ba = Bx
+    a, u = right.witness["a"], right.witness["u"]
+    assert bmul(a, u) == ONE
+    assert bmul(a, u) not in {bmul(v, a) for v in elements}
+    # Dl: u*a = xy = 1 lies in Ba = By but outside aB = yB
+    a, u = left.witness["a"], left.witness["u"]
+    assert bmul(u, a) == ONE
+    assert bmul(u, a) not in {bmul(a, v) for v in elements}
+    assert report.flags["D"].holds is True
+    assert check_consistency(report) == []
+
+
+def test_bicyclic_diagonal_report_is_exact():
     diag = residue_submonoid(2, 2, {(0, 0), (1, 1)})
     report = classify_bicyclic(diag, bound=3)
     f = report.flags
-    assert f["C0"].holds is True and f["C0"].mode == "bounded"
-    assert f["C1"].holds is True and f["C1"].mode == "bounded"
-    # a bounded pass through C(1,0) ⊆ C0.5, at the scans' bound
-    assert f["C0.5"] == Verdict(True, "bounded", note="by C(1,0) ⊆ C0.5",
-                                bound=3)
+    for name in ("C1", "C0", "C2", "normal"):
+        assert f[name].holds is True and f[name].mode == "exact", name
+        assert "φ_2" in f[name].note, name
+    # the hierarchy settles the rest, through C(1,0) ⊆ C0.5 and normal ⊆ D
+    assert f["C0.5"] == Verdict(True, note="by C(1,0) ⊆ C0.5")
+    assert f["D"] == replace(f["normal"], note="by normal ⊆ D")
+    assert f["C(2,0)"].holds is True
     assert check_consistency(report) == []
+    # the shortcut skips the scans, not their check of the bound
+    with pytest.raises(BicyclicError):
+        classify_bicyclic(diag, bound=0)
 
 
 def test_report_json_round_trips(t2):
