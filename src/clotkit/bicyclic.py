@@ -144,20 +144,19 @@ class ResidueSubmonoid:
         return len(self.residues) == self.p * self.q
 
     @property
-    def diagonal_modulus(self) -> Optional[int]:
-        """The d >= 2 with this submonoid equal to the diagonal
-        D_d = {y^n x^m : n ≡ m (mod d)}, or None.  Since y^d lies in D_d,
-        a presentation mod (p, q) of D_d has d dividing both moduli; then
-        membership repeats with periods p and q, so comparing it on the
-        one period grid [0, p) x [0, q) decides the equality."""
+    def diagonal_form(self) -> tuple[int, frozenset[int]]:
+        """(h, S), h least, with this submonoid the diagonal family
+        Δ_h(S) = {y^n x^m : n ≡ m (mod h), n mod h ∈ S}, as every residue
+        submonoid is (see the README).  As y^p and x^q lie in it, h divides
+        p and q, so the period grid [0, p) x [0, q) decides each h."""
         p, q = self.p, self.q
-        g = gcd(p, q)
-        for d in range(2, g + 1):
-            if g % d == 0 and self.residues == {
-                    (r, s) for r in range(p) for s in range(q)
-                    if (r - s) % d == 0}:
-                return d
-        return None
+        for h in range(1, gcd(p, q) + 1):
+            s = frozenset(r % h for r, _ in self.residues)
+            if p % h == q % h == 0 and self.residues == {
+                    (r, t) for r in range(p) for t in range(q)
+                    if (r - t) % h == 0 and r % h in s}:
+                return h, s
+        raise BicyclicError(f"{self.describe()} is not a residue submonoid")
 
     def describe(self) -> str:
         res = ",".join(f"({r},{s})" for r, s in sorted(self.residues))

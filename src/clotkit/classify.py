@@ -108,11 +108,11 @@ def flag_and(f1: Verdict, f2: Verdict) -> Verdict:
 
 def _infer(flags: dict[str, Verdict], m_group: Verdict) -> list[str]:
     """Settle in place every n/a flag that the hierarchy decides; return
-    the violated edges and conjunctions.  Each round fills the conjunctions
-    (the flag_and of their operands), then crosses the edges: a proved
-    inner flag proves the outer one, a refuted outer flag refutes the inner
-    one, and the settling verdict is copied with a note naming the edge.
-    Conjunctions go first: they take an operand the classifier set."""
+    the violated edges and conjunctions.  Each round first fills the
+    conjunctions, the flag_and of operands the classifier may have set,
+    then crosses the edges: a proved inner flag proves the outer one, a
+    refuted outer flag refutes the inner one.  The settling verdict gets
+    a note naming its rule: "by D ⊆ C0.5" or "by C(4,0) = C4 ∧ C0"."""
     for name in FLAG_ORDER:
         flags.setdefault(name, NOT_COMPUTED)
 
@@ -123,9 +123,10 @@ def _infer(flags: dict[str, Verdict], m_group: Verdict) -> list[str]:
     while changed:
         changed = False
         for name, (a, b) in CONJUNCTIONS.items():
-            if flags[name].holds is None:
-                flags[name] = conjunction(a, b)
-                changed |= flags[name].holds is not None
+            both = conjunction(a, b)
+            if flags[name].holds is None and both.holds is not None:
+                flags[name] = replace(both, note=f"by {name} = {a} ∧ {b}")
+                changed = True
         for inner, outer in IMPLICATIONS:
             for src, dst, holds in ((inner, outer, True),
                                     (outer, inner, False)):
@@ -150,41 +151,33 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
     rm = syntactic_reflexive_relation(m, sub)
     zc = zero_class(rm)
     m_group = subset_group_verdict(m, sub)
-    # finite flags keep no note: the report gives verdicts and witnesses
     flags: dict[str, Verdict] = {
         "C": Verdict(True),
         "C1": is_internal(rm),
-        "C2": replace(unit_transfer_condition(m, sub), note=""),
+        "C2": unit_transfer_condition(m, sub),
         "C3": is_dedekind_finite(m),
         "C4": group_verdict(m),
         "C0": (Verdict(True) if zc == sub
                else Verdict(False, witness={"u": min(zc ^ sub)})),
-        "C0.5": replace(is_clot(m, sub), note=""),
-        "D": replace(is_positive_cone(m, sub), note=""),
-        "Dr": replace(homogeneity(m, sub, "right"), note=""),
-        "Dl": replace(homogeneity(m, sub, "left"), note=""),
-        "normal": replace(is_normal_submonoid(m, sub), note=""),
+        "C0.5": is_clot(m, sub),
+        "D": is_positive_cone(m, sub),
+        "Dr": homogeneity(m, sub, "right"),
+        "Dl": homogeneity(m, sub, "left"),
+        "normal": is_normal_submonoid(m, sub),
     }
     _infer(flags, m_group)
+    # finite flags keep no note: the report gives verdicts and witnesses
+    flags = {name: replace(f, note="") for name, f in flags.items()}
     return ClassificationReport(pair_name(m, sub), flags, m_group.holds)
 
 
-def classify_bicyclic(M: ResidueSubmonoid,
-                      bound: int = 6) -> ClassificationReport:
-    """Report for a pair (bicyclic monoid, residue submonoid).
-
-    C3 fails on every pair.  On a diagonal D_d = {y^n x^m : n ≡ m (mod d)},
-    d >= 2, every element has a factorization of 1, so R is the kernel of
-    the additive map φ_d(y^n x^m) = n - m mod d, and C1, C0, C2 and normal
-    hold exactly.  On the whole monoid, C2 and normal hold and Dr and Dl
-    fail exactly.  Elsewhere C1 and C0 come from their procedures: a
-    refutation by a bounded scan is exact, a pass bounded.  The hierarchy
-    settles what it can of the rest; the others stay n/a.
-    """
+def classify_bicyclic(M: ResidueSubmonoid) -> ClassificationReport:
+    """Exact report for a pair (bicyclic monoid, residue submonoid), read
+    off the diagonal form M = Δ_h(S).  On D_h = Δ_h(Z_h), R = ker φ_h; when
+    S ≠ Z_h, C1 and C0 fail by the shift argument.  The README gives both
+    proofs; the hierarchy settles the flags they leave."""
     from . import bicyclic as bc
 
-    if bound < 1:
-        raise bc.BicyclicError("bound must be >= 1")
     # the generator pair x, y has xy = 1 but yx = yx != 1
     assert bc.bmul(bc.X, bc.Y) == bc.ONE and bc.bmul(bc.Y, bc.X) != bc.ONE
     flags: dict[str, Verdict] = {
@@ -192,31 +185,35 @@ def classify_bicyclic(M: ResidueSubmonoid,
         "C3": Verdict(False, witness={"x": bc.X, "y": bc.Y},
                       note="xy = 1 but yx differs from 1"),
     }
-    d = M.diagonal_modulus
-    if d is not None:
-        ker = f"ker φ_{d}"
+    h, s = M.diagonal_form
+    x_h, y_h = bc.BicyclicElement(0, h), bc.BicyclicElement(h, 0)
+    if len(s) == h:
+        ker = f"ker φ_{h}"
         flags.update({
-            "C1": Verdict(True, note=f"R = {ker} is compatible: φ_{d}(y^n "
-                                     f"x^m) = n - m mod {d} is additive"),
+            "C1": Verdict(True, note=f"R = {ker} is compatible: φ_{h}(y^n "
+                                     f"x^m) = n - m mod {h} is additive"),
             "C0": Verdict(True, note=f"M = {ker} is the zero-class of "
                                      f"R = {ker}"),
             "C2": Verdict(True, note=f"xy = 1 and xs, ty in {ker} give ts "
-                                     f"in {ker}, as φ_{d} is additive"),
+                                     f"in {ker}, as φ_{h} is additive"),
             "normal": Verdict(True, note=f"M = {ker} is the zero-class of "
                                          f"the syntactic congruence {ker}"),
+            # aM ⊆ Ma fails at a = x, and Ma ⊆ aM at a = y
+            "Dr": Verdict(False, witness={"a": bc.X, "u": y_h},
+                          note=f"au = {bc.bmul(bc.X, y_h)} is not in Mx"),
+            "Dl": Verdict(False, witness={"a": bc.Y, "u": x_h},
+                          note=f"ua = {bc.bmul(x_h, bc.Y)} is in My, not yM"),
         })
     else:
-        flags["C1"] = bc.b_internality_search(M, bound)
-        flags["C0"] = bc.b_unit_insertion_condition(M, bound)
-    if M.is_full:
-        flags["C2"] = Verdict(True, note="all products land in the monoid")
-        flags["normal"] = Verdict(True,
-                                  note="zero-class of the total congruence")
-        # aB ⊆ Ba fails at a = x, and Ba ⊆ aB at a = y
-        flags["Dr"] = Verdict(False, witness={"a": bc.X, "u": bc.Y},
-                              note="xy = 1 is not in Bx")
-        flags["Dl"] = Verdict(False, witness={"a": bc.Y, "u": bc.X},
-                              note="1 = xy is in By but not in yB")
+        # u = y^n x^n is the least member whose shift x u y leaves M
+        n = next(n for n in range(1, h + 1) if n % h in s and n - 1 not in s)
+        u, below = bc.BicyclicElement(n, n), bc.BicyclicElement(n - 1, n - 1)
+        flags["C1"] = Verdict(False, witness={
+            "pair1": (bc.ONE, x_h), "pair2": (bc.ONE, y_h),
+            "order": "second*first", "product": (bc.ONE, bc.bmul(y_h, x_h))},
+            note=f"1 R x^{h} and 1 R y^{h}, but not 1 R y^{h} x^{h}")
+        flags["C0"] = Verdict(False, witness={"u": u, "k": 1, "product": below},
+                              note=f"xuy = {below} is not in M")
     # every residue submonoid contains the non-invertible element x^q
     m_group = Verdict(False, witness={"a": bc.BicyclicElement(0, M.q)},
                       note="contains a non-invertible power of x")
@@ -235,8 +232,8 @@ def check_consistency(report: ClassificationReport) -> list[str]:
 def report_json(report: ClassificationReport,
                 monoid: Optional[FiniteMonoid] = None) -> dict:
     """Wire form of a report; witness elements are labelled by the monoid
-    when it is given, else by their str."""
-    labeler = monoid.labels.__getitem__ if monoid else str
+    when it is given, else ints stay numbers and the rest take their str."""
+    labeler = monoid.labels.__getitem__ if monoid else None
     flags = {}
     for name in FLAG_ORDER:
         f = report.flags[name]

@@ -53,9 +53,10 @@ class Verdict:
         return self.holds is True
 
 
-def witness_json(witness: Optional[dict], labeler=str) -> Optional[dict]:
+def witness_json(witness: Optional[dict], labeler=None) -> Optional[dict]:
     """Wire form of a witness: bools stay, ints become labels through the
-    labeler, lists and tuples recurse, anything else becomes its str."""
+    labeler when one is given and stay numbers otherwise, lists and tuples
+    recurse, anything else becomes its str."""
     if witness is None:
         return None
     return {k: _json_value(v, labeler) for k, v in witness.items()}
@@ -65,7 +66,7 @@ def _json_value(value, labeler):
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return labeler(value)
+        return labeler(value) if labeler else value
     if isinstance(value, (list, tuple)):
         return [_json_value(v, labeler) for v in value]
     return str(value)

@@ -115,11 +115,11 @@ def strictness_search(corpus: Corpus, outer: str,
     return None
 
 
-def infinite_strictness_evidence(bound: int = 4, nmax: int = 5) -> dict:
+def infinite_strictness_evidence(nmax: int = 5) -> dict:
     """Computational evidence behind the inclusions that no finite pair can
     separate: the bicyclic parity pair escapes C1 and C0, and the doubling
     powers escape the zero-class of their reflexive syntactic relation."""
-    parity = classify_bicyclic(bc.parity_submonoid(), bound)
+    parity = classify_bicyclic(bc.parity_submonoid())
     from .natfuncs import doubling_refutation_report
     doubling = doubling_refutation_report(nmax)
     return {

@@ -137,6 +137,9 @@ def test_residue_submonoid_validation():
         residue_submonoid(2, 2, {(1, 1)})
     with pytest.raises(NotClosed):
         residue_submonoid(2, 2, {(0, 0), (1, 0)})
+    # a set built without validation may be no diagonal family at all
+    with pytest.raises(bc.BicyclicError, match="not a residue submonoid"):
+        bc.ResidueSubmonoid(2, 2, frozenset({(0, 0), (1, 0)})).diagonal_form
 
 
 def test_residue_submonoid_matches_element_scan():

@@ -2,15 +2,14 @@ import gc
 import json
 import weakref
 from dataclasses import replace
-
-import pytest
+from itertools import product
 
 from clotkit.bicyclic import (
     ONE,
     X,
     Y,
     BicyclicElement,
-    BicyclicError,
+    ResidueSubmonoid,
     b_internality_search,
     b_unit_insertion_condition,
     bmul,
@@ -39,6 +38,7 @@ from clotkit.relations import (
     syntactic_preorder,
     syntactic_reflexive_relation,
 )
+from finite_oracles import _minimal_form, closed_residue_sets
 
 A3 = frozenset({0, 3, 4})
 SWAP12 = frozenset({0, 2})
@@ -132,8 +132,8 @@ def test_refuted_c1_refutes_the_chain_above_it():
         assert flags[name].witness == witness
     for inner, outer in (("C2", "C1"), ("C3", "C2"), ("C4", "C3")):
         assert flags[inner].note == f"by {inner} ⊆ {outer}"
-    # C5 = C4 ∧ group(M) takes the failing operand as it is
-    assert flags["C5"] == flags["C4"]
+    # C5 = C4 ∧ group(M) takes the failing operand and names itself
+    assert flags["C5"] == replace(flags["C4"], note="by C5 = C4 ∧ group(M)")
     for i in range(1, 6):
         assert flags[f"C({i},0)"].holds is False
         assert flags[f"C({i},0)"].witness == witness
@@ -176,86 +176,51 @@ def test_consistency_sees_through_an_unset_flag():
     assert report.flags["D"] is NOT_COMPUTED
 
 
-def test_bicyclic_residue_reports_are_settled():
-    for sub in _closed_residue_submonoids(4):
-        report = classify_bicyclic(sub, 4)
-        assert check_consistency(report) == [], sub.describe()
-        again = dict(report.flags)
-        assert _infer(again, Verdict(False)) == []
-        assert again == report.flags
-        unset = {n for n, f in report.flags.items() if f.mode == "n/a"}
-        # D_p = Δ_p(Z_p) has every diagonal class; on the non-full ones
-        # only the homogeneity flags are left open
-        if len(sub.residues) < sub.p or sub.is_full:
-            assert unset == set(), sub.describe()
-        else:
-            assert unset == {"Dr", "Dl"}, sub.describe()
-
-
-def _diagonal(p, q, d):
-    return residue_submonoid(p, q, {(r, s) for r in range(p)
-                                    for s in range(q) if (r - s) % d == 0})
-
-
-def test_diagonal_shortcut_agrees_with_the_scans():
-    # every D_d with moduli <= 6, in each presentation mod (p, q) with
-    # d | gcd(p, q), is recognised; the bounded procedures, which
-    # classify_bicyclic skips on it, are the oracle and both pass
-    for p in range(2, 7):
-        for q in range(2, 7):
-            for d in range(2, 7):
-                if p % d == 0 and q % d == 0:
-                    sub = _diagonal(p, q, d)
-                    assert sub.diagonal_modulus == d, sub.describe()
-                    assert b_internality_search(sub, 3).holds, sub.describe()
-                    assert b_unit_insertion_condition(sub, 3).holds, (
-                        sub.describe())
+def test_bicyclic_reports_are_exact_and_match_the_scans():
+    # every residue set mod (p, q) with p, q <= 6; the bounded scans at the
+    # bound h of its diagonal form are the oracle of the proofs: on Δ_h(S)
+    # with S ≠ Z_h they find the proof's witness, and on D_h they pass
+    diagonals = 0
+    for p, q in product(range(1, 7), repeat=2):
+        for residues in closed_residue_sets(p, q):
+            sub = ResidueSubmonoid(p, q, residues)
+            name = sub.describe()
+            h, s = sub.diagonal_form
+            # the least periods of the set are (h, h): h is least
+            p0, q0, least = _minimal_form(p, q, residues)
+            assert (p0, q0, s) == (h, h, {r for r, _ in least}), name
+            report = classify_bicyclic(sub)
+            assert all(f.mode == "exact" and f.bound is None
+                       for f in report.flags.values()), name
+            assert check_consistency(report) == [], name
+            again = dict(report.flags)
+            assert _infer(again, Verdict(False)) == []
+            assert again == report.flags
+            for flag, scan in (("C1", b_internality_search(sub, h)),
+                               ("C0", b_unit_insertion_condition(sub, h))):
+                f = report.flags[flag]
+                assert (f.holds, f.witness) == (scan.holds, scan.witness), (
+                    name, flag)
+            diagonals += report.holds("C0")
+    assert diagonals == 52
 
 
 def test_diagonal_reports_have_no_bounded_flag():
+    # the closed form lists Δ_p(S) mod (p, p) with p least, so its diagonal
+    # form is (p, S); a diagonal in another presentation keeps its form
     closed = _closed_residue_submonoids(6)
     for sub in closed:
-        # in the closed form, D_d = Δ_d(Z_d) presented mod (d, d)
-        expected = sub.p if len(sub.residues) == sub.p > 1 else None
-        assert sub.diagonal_modulus == expected, sub.describe()
-    for sub in closed + [
-            residue_submonoid(2, 4, {(0, 0), (0, 2), (1, 1), (1, 3)})]:
-        report = classify_bicyclic(sub, 3)
-        assert check_consistency(report) == [], sub.describe()
-        if sub.diagonal_modulus is not None:
-            assert all(f.mode != "bounded" for f in report.flags.values()), (
-                sub.describe())
-
-
-def test_bicyclic_parity_report():
-    report = classify_bicyclic(parity_submonoid(), bound=4)
-    f = report.flags
-    assert f["C1"].holds is False and f["C1"].mode == "exact"
-    assert f["C0"].holds is False and f["C0"].mode == "exact"
-    assert f["C0.5"].holds is False
-    assert f["C3"].holds is False and f["C4"].holds is False
-    assert f["C5"].holds is False
-    # C2 and D are refuted through C2 ⊆ C1 and D ⊆ C0.5
-    assert f["C2"].holds is False and f["C2"].mode == "exact"
-    assert f["C2"].note == "by C2 ⊆ C1"
-    assert f["D"].holds is False and f["D"].mode == "exact"
-    assert f["C(1,0)"].holds is False
-    assert check_consistency(report) == []
-
-
-def test_bicyclic_whole_monoid_report():
-    whole = residue_submonoid(1, 1, {(0, 0)})
-    report = classify_bicyclic(whole, bound=3)
-    f = report.flags
-    assert f["C0"].holds is True and f["C0"].mode == "exact"
-    assert f["C1"].holds is True and f["C0.5"].holds is True
-    assert f["C3"].holds is False
-    assert f["C(1,0)"].holds is True
-    assert check_consistency(report) == []
+        assert sub.diagonal_form == (sub.p, {r for r, _ in sub.residues})
+    other = residue_submonoid(2, 4, {(0, 0), (0, 2), (1, 1), (1, 3)})
+    assert other.diagonal_form == (2, {0, 1})
+    for sub in closed + [other]:
+        report = classify_bicyclic(sub)
+        assert all(f.mode == "exact" for f in report.flags.values()), (
+            sub.describe())
 
 
 def test_bicyclic_whole_monoid_is_not_homogeneous():
-    report = classify_bicyclic(residue_submonoid(1, 1, {(0, 0)}), bound=3)
+    report = classify_bicyclic(residue_submonoid(1, 1, {(0, 0)}))
     right, left = report.flags["Dr"], report.flags["Dl"]
     assert (right.holds, right.mode, right.witness) == (
         False, "exact", {"a": X, "u": Y})
@@ -274,9 +239,73 @@ def test_bicyclic_whole_monoid_is_not_homogeneous():
     assert check_consistency(report) == []
 
 
+def test_diagonal_homogeneity_witnesses():
+    # on D_h, aM ⊆ Ma fails at a = x, u = y^h and Ma ⊆ aM at a = y, u = x^h
+    for h in range(1, 7):
+        sub = residue_submonoid(h, h, {(r, r) for r in range(h)})
+        members = [e for e in (BicyclicElement(n, m) for n in range(13)
+                               for m in range(13)) if e in sub]
+        report = classify_bicyclic(sub)
+        right, left = report.flags["Dr"], report.flags["Dl"]
+        assert (right.holds, right.mode, right.witness) == (
+            False, "exact", {"a": X, "u": BicyclicElement(h, 0)})
+        assert (left.holds, left.mode, left.witness) == (
+            False, "exact", {"a": Y, "u": BicyclicElement(0, h)})
+        a, u = right.witness["a"], right.witness["u"]
+        assert u in sub
+        assert bmul(a, u) not in {bmul(v, a) for v in members}
+        a, u = left.witness["a"], left.witness["u"]
+        assert u in sub and bmul(u, a) in {bmul(v, a) for v in members}
+        assert bmul(u, a) not in {bmul(a, v) for v in members}
+        assert report.flags["D"].holds is True, h
+        assert check_consistency(report) == []
+
+
+def test_bicyclic_c0_fails_past_any_bound():
+    # Δ_7({0}) first leaves the shifted diagonal at u = y^7 x^7, past the
+    # exponents 6 that a scan at bound 6 reads
+    sub = residue_submonoid(7, 7, {(0, 0)})
+    c0 = classify_bicyclic(sub).flags["C0"]
+    u, product = BicyclicElement(7, 7), BicyclicElement(6, 6)
+    assert (c0.holds, c0.mode, c0.bound) == (False, "exact", None)
+    assert c0.witness == {"u": u, "k": 1, "product": product}
+    assert u in sub and product not in sub
+    assert bmul(bmul(X, u), Y) == product
+    assert b_unit_insertion_condition(sub, 6).mode == "bounded"
+
+
+def test_bicyclic_parity_report():
+    report = classify_bicyclic(parity_submonoid())
+    f = report.flags
+    assert f["C1"].holds is False and f["C1"].mode == "exact"
+    assert f["C0"].holds is False and f["C0"].mode == "exact"
+    assert f["C0.5"].holds is False
+    assert f["C3"].holds is False and f["C4"].holds is False
+    assert f["C5"].holds is False
+    # C2 and D are refuted through C2 ⊆ C1 and D ⊆ C0.5
+    assert f["C2"].holds is False and f["C2"].mode == "exact"
+    assert f["C2"].note == "by C2 ⊆ C1"
+    assert f["D"].holds is False and f["D"].mode == "exact"
+    assert f["C(1,0)"].holds is False
+    assert f["C(1,0)"].note == "by C(1,0) = C1 ∧ C0"
+    assert check_consistency(report) == []
+
+
+def test_bicyclic_whole_monoid_report():
+    whole = residue_submonoid(1, 1, {(0, 0)})
+    assert whole.diagonal_form == (1, {0})
+    report = classify_bicyclic(whole)
+    f = report.flags
+    assert f["C0"].holds is True and f["C0"].mode == "exact"
+    assert f["C1"].holds is True and f["C0.5"].holds is True
+    assert f["C3"].holds is False
+    assert f["C(1,0)"].holds is True
+    assert check_consistency(report) == []
+
+
 def test_bicyclic_diagonal_report_is_exact():
     diag = residue_submonoid(2, 2, {(0, 0), (1, 1)})
-    report = classify_bicyclic(diag, bound=3)
+    report = classify_bicyclic(diag)
     f = report.flags
     for name in ("C1", "C0", "C2", "normal"):
         assert f[name].holds is True and f[name].mode == "exact", name
@@ -284,11 +313,9 @@ def test_bicyclic_diagonal_report_is_exact():
     # the hierarchy settles the rest, through C(1,0) ⊆ C0.5 and normal ⊆ D
     assert f["C0.5"] == Verdict(True, note="by C(1,0) ⊆ C0.5")
     assert f["D"] == replace(f["normal"], note="by normal ⊆ D")
-    assert f["C(2,0)"].holds is True
+    assert f["C(2,0)"] == Verdict(True, note="by C(2,0) = C2 ∧ C0")
+    assert f["Dh"].note == "by Dh = Dr ∧ group(M)"
     assert check_consistency(report) == []
-    # the shortcut skips the scans, not their check of the bound
-    with pytest.raises(BicyclicError):
-        classify_bicyclic(diag, bound=0)
 
 
 def test_report_json_round_trips(t2):

@@ -107,7 +107,7 @@ def test_infinite_only_inclusions_have_no_finite_witness(corpus):
 
 
 def test_infinite_strictness_evidence():
-    evidence = infinite_strictness_evidence(bound=3, nmax=3)
+    evidence = infinite_strictness_evidence(nmax=3)
     assert evidence == {
         "bicyclic_parity_not_C1": True,
         "bicyclic_parity_not_C0": True,
