@@ -176,32 +176,44 @@ def test_consistency_sees_through_an_unset_flag():
     assert report.flags["D"] is NOT_COMPUTED
 
 
-def test_bicyclic_reports_are_exact_and_match_the_scans():
-    # every residue set mod (p, q) with p, q <= 6; the bounded scans at the
-    # bound h of its diagonal form are the oracle of the proofs: on Δ_h(S)
-    # with S ≠ Z_h they find the proof's witness, and on D_h they pass
-    diagonals = 0
+def _every_residue_submonoid():
+    # every residue set mod (p, q) with p, q <= 6: 126 presentations
     for p, q in product(range(1, 7), repeat=2):
         for residues in closed_residue_sets(p, q):
-            sub = ResidueSubmonoid(p, q, residues)
-            name = sub.describe()
-            h, s = sub.diagonal_form
-            # the least periods of the set are (h, h): h is least
-            p0, q0, least = _minimal_form(p, q, residues)
-            assert (p0, q0, s) == (h, h, {r for r, _ in least}), name
-            report = classify_bicyclic(sub)
-            assert all(f.mode == "exact" and f.bound is None
-                       for f in report.flags.values()), name
-            assert check_consistency(report) == [], name
-            again = dict(report.flags)
-            assert _infer(again, Verdict(False)) == []
-            assert again == report.flags
-            for flag, scan in (("C1", b_internality_search(sub, h)),
-                               ("C0", b_unit_insertion_condition(sub, h))):
-                f = report.flags[flag]
-                assert (f.holds, f.witness) == (scan.holds, scan.witness), (
-                    name, flag)
-            diagonals += report.holds("C0")
+            yield ResidueSubmonoid(p, q, residues)
+
+
+def test_bicyclic_residue_reports_are_settled():
+    for sub in _every_residue_submonoid():
+        name = sub.describe()
+        h, s = sub.diagonal_form
+        # the least periods of the set are (h, h): h is least
+        p0, q0, least = _minimal_form(sub.p, sub.q, sub.residues)
+        assert (p0, q0, s) == (h, h, {r for r, _ in least}), name
+        report = classify_bicyclic(sub)
+        # no flag is n/a or bounded: every one is proved or refuted
+        assert all(f.mode == "exact" and f.bound is None
+                   for f in report.flags.values()), name
+        assert check_consistency(report) == [], name
+        again = dict(report.flags)
+        assert _infer(again, Verdict(False)) == []
+        assert again == report.flags
+
+
+def test_diagonal_shortcut_agrees_with_the_scans():
+    # the bounded scans at the bound h of the diagonal form are the oracle
+    # of the proofs: on Δ_h(S) with S ≠ Z_h they find the proof's witness,
+    # and on D_h they pass
+    diagonals = 0
+    for sub in _every_residue_submonoid():
+        h, _ = sub.diagonal_form
+        report = classify_bicyclic(sub)
+        for flag, scan in (("C1", b_internality_search(sub, h)),
+                           ("C0", b_unit_insertion_condition(sub, h))):
+            f = report.flags[flag]
+            assert (f.holds, f.witness) == (scan.holds, scan.witness), (
+                sub.describe(), flag)
+        diagonals += report.holds("C0")
     assert diagonals == 52
 
 
