@@ -123,10 +123,12 @@ def _infer(flags: dict[str, Verdict], m_group: Verdict) -> list[str]:
     while changed:
         changed = False
         for name, (a, b) in CONJUNCTIONS.items():
-            both = conjunction(a, b)
-            if flags[name].holds is None and both.holds is not None:
-                flags[name] = replace(both, note=f"by {name} = {a} ∧ {b}")
-                changed = True
+            if flags[name].holds is None:
+                both = conjunction(a, b)
+                if both.holds is not None:
+                    flags[name] = replace(both,
+                                          note=f"by {name} = {a} ∧ {b}")
+                    changed = True
         for inner, outer in IMPLICATIONS:
             for src, dst, holds in ((inner, outer, True),
                                     (outer, inner, False)):
@@ -167,7 +169,7 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
     }
     _infer(flags, m_group)
     # finite flags keep no note: the report gives verdicts and witnesses
-    flags = {name: replace(f, note="") for name, f in flags.items()}
+    flags = {n: replace(f, note="") if f.note else f for n, f in flags.items()}
     return ClassificationReport(pair_name(m, sub), flags, m_group.holds)
 
 

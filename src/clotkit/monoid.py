@@ -7,6 +7,7 @@ Element indices are dense integers; labels are cosmetic only.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -430,8 +431,5 @@ def monoid_from_dict(d: dict):
 
 
 def load_monoid(path: str):
-    # imported here, so that building and classifying monoids loads no json
-    import json
-
     with open(path, encoding="utf-8") as fh:
         return monoid_from_dict(json.load(fh))
