@@ -25,8 +25,8 @@ _EXPORTS = {
     "clots": """homogeneity is_clot is_normal_submonoid is_positive_cone
         unit_transfer_condition""".split(),
     "bicyclic": """BicyclicElement ResidueSubmonoid b_internality_search
-        b_rm_related b_unit_insertion_condition bmul bword_normal_form
-        one_factorizations parity_submonoid residue_submonoid""".split(),
+        b_rm_related bmul bword_normal_form one_factorizations
+        parity_submonoid residue_submonoid""".split(),
     "natfuncs": """EventuallyAffineMap doubling_refutation_report ea
         ea_compose ea_in_doubling_submonoid""".split(),
     "classify": """ClassificationReport check_consistency classify_bicyclic

@@ -9,8 +9,9 @@ Key structural fact used throughout: a product X*Y equals 1 exactly when
 X = x^k and Y = y^k for some k, so the factorizations of 1 through a fixed
 middle element form a one-parameter family.
 
-Universal checks over infinite submonoids are bounded scans: refutations
-are exact, confirmations carry the bound used.
+The hierarchy flags of a residue submonoid are decided exactly by
+classify.classify_bicyclic.  Only the hunt's checks here are bounded
+scans: refutations are exact, confirmations carry the bound used.
 """
 
 from __future__ import annotations
@@ -225,41 +226,21 @@ def b_rm_related(a: BicyclicElement, b: BicyclicElement,
                                    "product": bmul(bmul(left, b), right)})
 
 
-def b_unit_insertion_condition(M: ResidueSubmonoid, bound: int) -> Verdict:
-    """x^k * u * y^k in M for every u in M, scanning u with exponents up to
-    the bound.  For u = y^a x^b the product is constant for k >= a, so the
-    k-scan per u is exact.  The whole monoid holds every product."""
-    if bound < 1:
-        raise BicyclicError("bound must be >= 1")
-    if M.is_full:
-        return Verdict(True, note="the whole monoid")
-    for u in _elements(*_exponents(bound)):
-        if u not in M:
-            continue
-        for k in range(u.n + 2):
-            prod = bmul(bmul(BicyclicElement(0, k), u), BicyclicElement(k, 0))
-            if prod not in M:
-                return Verdict(False, witness={"u": u, "k": k,
-                                               "product": prod}, bound=bound)
-    return Verdict(True, "bounded", bound=bound,
-                   note=f"members scanned up to exponent {bound}")
+class _Relatedness(dict):
+    """a R b for exponent pairs (a, b), decided when first looked up."""
 
+    def __init__(self, M: ResidueSubmonoid):
+        super().__init__()
+        self.M = M
 
-def _related_exponents(M: ResidueSubmonoid, bound: int):
-    pairs = _exponents(bound)
-    return [(a, b) for a in pairs for b in pairs
-            if _rm_failure(a, b, M) is None]
+    def __missing__(self, pair) -> bool:
+        self[pair] = related = _rm_failure(*pair, self.M) is None
+        return related
 
 
 def _counterexample(p1, p2, order: str, a, b) -> dict:
     return {"pair1": _elements(*p1), "pair2": _elements(*p2),
             "order": order, "product": _elements(a, b)}
-
-
-def related_pairs_up_to(M: ResidueSubmonoid, bound: int):
-    """All related ordered pairs with exponents at most the bound, in
-    lexicographic order."""
-    return [_elements(a, b) for a, b in _related_exponents(M, bound)]
 
 
 def b_internality_counterexamples(M: ResidueSubmonoid,
@@ -268,22 +249,24 @@ def b_internality_counterexamples(M: ResidueSubmonoid,
     the bound, in deterministic scan order.
 
     For each ordered pair of related pairs both product orders are tested,
-    because compatibility can fail in either one.
+    because compatibility can fail in either one.  Relatedness is decided
+    when a pair or product is first met and kept for the rest of the call,
+    so an early failure costs the pairs within the bound and the products
+    tested before it, not every pair a product can reach.
     """
-    # products of exponents <= bound have exponents <= 2 * bound
-    related = _related_exponents(M, 2 * bound)
-    pairs = [(a, b) for a, b in related if max(*a, *b) <= bound]
-    related = set(related)
+    related = _Relatedness(M)
+    exps = _exponents(bound)
+    pairs = [(a, b) for a in exps for b in exps if related[a, b]]
     for p1 in pairs:
         (a1n, a1m), (b1n, b1m) = p1
         for p2 in pairs:
             (a2n, a2m), (b2n, b2m) = p2
             a, b = _mul(a1n, a1m, a2n, a2m), _mul(b1n, b1m, b2n, b2m)
-            if (a, b) not in related:
+            if not related[a, b]:
                 yield _counterexample(p1, p2, "first*second", a, b)
             if p1 != p2:
                 a, b = _mul(a2n, a2m, a1n, a1m), _mul(b2n, b2m, b1n, b1m)
-                if (a, b) not in related:
+                if not related[a, b]:
                     yield _counterexample(p1, p2, "second*first", a, b)
 
 

@@ -13,7 +13,12 @@ import re
 import sys
 
 from . import bicyclic as bc
-from .classify import check_consistency, classify_pair, report_json
+from .classify import (
+    check_consistency,
+    classify_bicyclic,
+    classify_pair,
+    report_json,
+)
 from .clots import homogeneity, is_normal_submonoid
 from .monoid import (
     DEFAULT_ENUM_CAP,
@@ -46,28 +51,23 @@ RELATION_BUILDERS = {
 RESIDUE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 # text forms of bicyclic witnesses, filled from their JSON form
 RM_WITNESS = "witness ({x}, {y}) product {product}"
-PAIRS = "pairs ({pair1[0]},{pair1[1]}) and ({pair2[0]},{pair2[1]}) -> "
-PRODUCT = "({product[0]},{product[1]}) [{order}]"
-# bicyclic checks: (JSON key, title, text of a bounded pass, witness text)
-BOUNDED_SECTIONS = (
-    ("unit_insertion", "unit insertion", "holds (bounded)",
+C1_WITNESS = ("pairs ({pair1[0]},{pair1[1]}) and ({pair2[0]},{pair2[1]}) "
+              "-> product ({product[0]},{product[1]}) [{order}]")
+# bicyclic checks: (JSON key, title, witness text)
+BICYCLIC_SECTIONS = (
+    ("unit_insertion", "unit insertion",
      "witness u={u} k={k} product {product}"),
-    ("internality", "compatibility", "no failure found (bounded)",
-     PAIRS + "product " + PRODUCT),
+    ("internality", "compatibility", C1_WITNESS),
 )
 
 
-# Largest --bound each command accepts, and the largest modulus of
-# bicyclic --mod, so that no argument starts work without limit.  hunt:
+# Largest --bound of hunt and largest modulus of bicyclic --mod, so that
+# no argument starts work without limit.  hunt:
 # search.HUNT_MODULI_CEILING, which open_question_report enforces too.
-# bicyclic: the compatibility search took 1.6 s at bound 6 on
-# mod(2,2) residues {(0,0),(1,1)}, the costliest of the residue submonoids
-# with moduli up to 6 (the whole monoid needs no scan), so the default is
-# also the ceiling.  --mod: validating a residue set multiplies its members
-# with exponents below 2*lcm(p, q), at most 4*lcm(p, q)**2 of them; moduli
-# up to 6, those the hunt reaches, keep that under 3,600.
-BOUND_CEILINGS = {"hunt": HUNT_MODULI_CEILING, "bicyclic": 6,
-                  "bicyclic --mod": 6}
+# --mod: validating a residue set multiplies its members with exponents
+# below 2*lcm(p, q), at most 4*lcm(p, q)**2 of them; moduli up to 6, those
+# the hunt reaches, keep that under 3,600.
+BOUND_CEILINGS = {"hunt": HUNT_MODULI_CEILING, "bicyclic --mod": 6}
 
 
 class InputError(Exception):
@@ -210,11 +210,6 @@ def _parse_residues(text: str) -> set[tuple[int, int]]:
     return residues
 
 
-def _bounded_json(v) -> dict:
-    return {"holds": v.holds, "bounded": v.mode == "bounded",
-            "bound": v.bound, "witness": witness_json(v.witness)}
-
-
 def cmd_bicyclic(args) -> int:
     try:
         p_str, q_str = args.mod.split(",")
@@ -241,12 +236,14 @@ def cmd_bicyclic(args) -> int:
             "a": str(a), "b": str(b), "related": verdict.holds,
             "witness": witness_json(verdict.witness),
         }
-    if args.condition_r:
-        out["unit_insertion"] = _bounded_json(
-            bc.b_unit_insertion_condition(sub, args.bound))
-    if args.internality:
-        out["internality"] = _bounded_json(
-            bc.b_internality_search(sub, args.bound))
+    # R's zero-class is {b : x^k b y^k in M for every k}, so C0 is the
+    # unit-insertion condition
+    flags = classify_bicyclic(sub).flags
+    for key, flag, asked in (("unit_insertion", "C0", args.condition_r),
+                             ("internality", "C1", args.internality)):
+        if asked:
+            out[key] = {"holds": flags[flag].holds,
+                        "witness": witness_json(flags[flag].witness)}
     if args.normal_form:
         try:
             out["normal_form"] = str(bc.bword_normal_form(args.normal_form))
@@ -261,12 +258,10 @@ def cmd_bicyclic(args) -> int:
         print("true" if r["related"] else "false")
         if r["witness"]:
             print(RM_WITNESS.format(**r["witness"]))
-    for key, title, passed, template in BOUNDED_SECTIONS:
+    for key, title, template in BICYCLIC_SECTIONS:
         if key in out:
             r = out[key]
-            state = ("fails" if not r["holds"]
-                     else passed if r["bounded"] else "holds")
-            print(f"{title}: {state}")
+            print(f"{title}: {'holds' if r['holds'] else 'fails'}")
             if r["witness"]:
                 print("  " + template.format(**r["witness"]))
     if "normal_form" in out:
@@ -284,17 +279,16 @@ def _example_bicyclic() -> tuple[list[str], bool]:
     fact3 = (not fail.holds and fail.witness["x"] == bc.X
              and fail.witness["y"] == bc.Y
              and fail.witness["product"] == bc.BicyclicElement(1, 1))
-    search = bc.b_internality_search(parity, 2)
+    c1 = classify_bicyclic(parity).flags["C1"]
     lines = [f"  y2x1 R y1x2: {str(fact1).lower()}",
              f"  y0x1 R y1x0: {str(fact2).lower()}",
              f"  y1x1 R y2x2: {str(fail.holds).lower()}"]
     if fail.witness:
         lines[-1] += "  " + RM_WITNESS.format(**witness_json(fail.witness))
-    if not search.holds:
-        w = witness_json(search.witness)
-        lines.append("  compatibility fails at bound 2: "
-                     + (PAIRS + PRODUCT).format(**w))
-    return lines, fact1 and fact2 and fact3 and not search.holds
+    if not c1.holds:
+        lines.append("  compatibility fails: "
+                     + C1_WITNESS.format(**witness_json(c1.witness)))
+    return lines, fact1 and fact2 and fact3 and not c1.holds
 
 
 def _example_doubling() -> tuple[list[str], bool]:
@@ -414,14 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residues", required=True)
     p.add_argument("--check-rm", metavar="A,B")
     p.add_argument("--condition-r", action="store_true",
-                   help="bounded unit-insertion check")
+                   help="unit insertion: x^k u y^k in M for every u in M "
+                        "(C0), decided exactly")
     p.add_argument("--internality", action="store_true",
-                   help="bounded compatibility search")
+                   help="compatibility of the reflexive syntactic relation "
+                        "(C1), decided exactly")
     p.add_argument("--normal-form", metavar="WORD",
                    help="reduce a word over x,y")
-    p.add_argument("--bound", type=int, default=6,
-                   help="exponent bound of the scans, at most "
-                        f"{BOUND_CEILINGS['bicyclic']}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bicyclic)
 

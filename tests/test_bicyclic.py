@@ -16,7 +16,6 @@ from clotkit.bicyclic import (
     b_internality_counterexamples,
     b_internality_search,
     b_rm_related,
-    b_unit_insertion_condition,
     bmul,
     bword_normal_form,
     one_factorizations,
@@ -26,6 +25,8 @@ from clotkit.bicyclic import (
 )
 from clotkit.relations import Verdict
 from clotkit.search import _closed_residue_submonoids
+
+from bicyclic_oracles import b_unit_insertion_condition, related_pairs_up_to
 
 exponents = st.integers(min_value=0, max_value=8)
 elements = st.builds(BicyclicElement, exponents, exponents)
@@ -219,7 +220,7 @@ def test_rm_product_constant_beyond_scan_range(a, b):
 
 def test_relation_rows_at_bound_two():
     parity = parity_submonoid()
-    pairs = bc.related_pairs_up_to(parity, 2)
+    pairs = related_pairs_up_to(parity, 2)
     assert len(pairs) == 36
     rows = {}
     for a, b in pairs:
@@ -425,7 +426,7 @@ def test_rm_related_matches_element_reference(residue_submonoids):
 def test_related_pairs_match_element_reference(residue_submonoids):
     elems = _reference_elements(3)
     for sub in residue_submonoids:
-        assert bc.related_pairs_up_to(sub, 3) == [
+        assert related_pairs_up_to(sub, 3) == [
             (a, b) for a in elems for b in elems
             if _reference_rm_related(a, b, sub).holds], sub
 

@@ -11,7 +11,6 @@ from clotkit.bicyclic import (
     BicyclicElement,
     ResidueSubmonoid,
     b_internality_search,
-    b_unit_insertion_condition,
     bmul,
     parity_submonoid,
     residue_submonoid,
@@ -38,6 +37,7 @@ from clotkit.relations import (
     syntactic_preorder,
     syntactic_reflexive_relation,
 )
+from bicyclic_oracles import b_unit_insertion_condition
 from finite_oracles import _minimal_form, closed_residue_sets
 
 A3 = frozenset({0, 3, 4})

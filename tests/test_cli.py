@@ -9,8 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clotkit
+from clotkit.classify import classify_bicyclic
 from clotkit.cli import main
 from clotkit.monoid import full_transformation_monoid, monoid_to_dict
+from clotkit.relations import witness_json
+from clotkit.search import _closed_residue_submonoids
 
 
 @pytest.fixture()
@@ -270,11 +273,36 @@ def test_bicyclic_json(capsys):
 
 def test_bicyclic_condition_and_internality(capsys):
     code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
-                       "(0,0)", "--condition-r", "--internality",
-                       "--bound", "2")
+                       "(0,0)", "--condition-r", "--internality")
     assert code == 0
     assert "unit insertion: fails" in out
     assert "compatibility: fails" in out
+
+
+def test_bicyclic_diagonal_holds_exactly(capsys):
+    # D_2 = {y^n x^m : n ≡ m mod 2}: both conditions hold, with no bound
+    code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
+                       "(0,0),(1,1)", "--condition-r", "--internality")
+    assert code == 0
+    assert out == ("submonoid mod(2,2) residues {(0,0),(1,1)}\n"
+                   "unit insertion: holds\n"
+                   "compatibility: holds\n")
+
+
+def test_bicyclic_sections_are_the_report_flags(capsys):
+    for sub in _closed_residue_submonoids(6):
+        residues = ",".join(f"({r},{s})" for r, s in sorted(sub.residues))
+        code, out, _ = run(capsys, "bicyclic", "--mod", f"{sub.p},{sub.q}",
+                           "--residues", residues, "--condition-r",
+                           "--internality", "--json")
+        assert code == 0
+        parsed = json.loads(out)
+        flags = classify_bicyclic(sub).flags
+        for key, flag in (("unit_insertion", "C0"), ("internality", "C1")):
+            assert parsed[key] == {
+                "holds": flags[flag].holds,
+                "witness": witness_json(flags[flag].witness)}, (
+                sub.describe(), key)
 
 
 def test_bicyclic_whole_monoid_internality_holds(capsys):
@@ -285,8 +313,7 @@ def test_bicyclic_whole_monoid_internality_holds(capsys):
     assert "compatibility: holds\n" in out
     code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
                        "(0,0)", "--internality", "--json")
-    assert json.loads(out)["internality"] == {
-        "holds": True, "bounded": False, "bound": None, "witness": None}
+    assert json.loads(out)["internality"] == {"holds": True, "witness": None}
 
 
 def test_bicyclic_whole_monoid_unit_insertion_exact(capsys):
@@ -300,7 +327,7 @@ def test_bicyclic_whole_monoid_unit_insertion_exact(capsys):
                        "(0,0)", "--condition-r", "--json")
     assert code == 0
     assert json.loads(out)["unit_insertion"] == {
-        "holds": True, "bounded": False, "bound": None, "witness": None}
+        "holds": True, "witness": None}
 
 
 def test_bicyclic_normal_form(capsys):
@@ -322,8 +349,7 @@ def test_bicyclic_non_closed_residues(capsys):
 
 
 def test_bad_bound_rejected(t2_file, capsys):
-    code, _, err = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
-                       "(0,0)", "--bound", "0")
+    code, _, err = run(capsys, "hunt", "--bound", "0")
     assert code == 2 and "--bound 0 must be positive" in err
     code, _, err = run(capsys, "hunt", "--bound", "-3")
     assert code == 2 and "--bound -3 must be positive" in err
@@ -373,15 +399,15 @@ def test_bicyclic_mod_at_ceiling_validates(capsys):
 def test_bicyclic_bound_above_ceiling_rejected(capsys, monkeypatch):
     from clotkit import cli as cli_module
 
-    # the refusal comes before any scan starts
-    monkeypatch.setattr(cli_module.bc, "b_internality_search", None)
-    code, _, err = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
-                       "(0,0)", "--internality", "--bound", "100000000")
-    assert code == 2 and "--bound 100000000" in err
-    ceiling = cli_module.BOUND_CEILINGS["bicyclic"]
-    code, _, err = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
-                       "(0,0)", "--bound", str(ceiling + 1))
-    assert code == 2 and "--bound" in err
+    # bicyclic decides C0 and C1 exactly and takes no --bound: the parser
+    # refuses every value before the submonoid is classified
+    monkeypatch.setattr(cli_module, "classify_bicyclic", None)
+    for bound in ("3", "0", "100000000"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bicyclic", "--mod", "2,2", "--residues", "(0,0)",
+                  "--internality", "--bound", bound])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bound" in capsys.readouterr().err
 
 
 def test_hunt_bound_above_ceiling_rejected(capsys, monkeypatch):

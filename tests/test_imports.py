@@ -23,8 +23,8 @@ PUBLIC_NAMES = """
     homogeneity is_clot is_normal_submonoid is_positive_cone
     unit_transfer_condition
     BicyclicElement ResidueSubmonoid b_internality_search b_rm_related
-    b_unit_insertion_condition bmul bword_normal_form one_factorizations
-    parity_submonoid residue_submonoid
+    bmul bword_normal_form one_factorizations parity_submonoid
+    residue_submonoid
     EventuallyAffineMap doubling_refutation_report ea ea_compose
     ea_in_doubling_submonoid
     ClassificationReport check_consistency classify_bicyclic classify_pair
