@@ -10,8 +10,8 @@ X = x^k and Y = y^k for some k, so the factorizations of 1 through a fixed
 middle element form a one-parameter family.
 
 The hierarchy flags of a residue submonoid are decided exactly by
-classify.classify_bicyclic.  Only the hunt's checks here are bounded
-scans: refutations are exact, confirmations carry the bound used.
+classify.classify_bicyclic.  The one bounded scan here that a command
+runs is the hunt's interleaved insertion: refutations exact, passes bounded.
 """
 
 from __future__ import annotations
@@ -90,17 +90,20 @@ def bword_normal_form(word: str) -> BicyclicElement:
     """Normal form of a word over {x, y} by rewriting xy -> (empty word).
 
     The rewriting system is terminating and has no overlaps, so the result
-    is independent of rewrite order; it is the string-level oracle against
-    which the product formula is tested.
+    is independent of rewrite order: one left-to-right pass, in which each
+    y cancels the last pending x, gives it.  It is the string-level oracle
+    against which the product formula is tested.
     """
+    n = m = 0
     for ch in word:
-        if ch not in "xy":
+        if ch == "x":
+            m += 1
+        elif ch != "y":
             raise BicyclicError(f"bad character {ch!r} in word")
-    while "xy" in word:
-        word = word.replace("xy", "")
-    n = word.count("y")
-    m = word.count("x")
-    assert word == "y" * n + "x" * m
+        elif m:
+            m -= 1
+        else:
+            n += 1
     return BicyclicElement(n, m)
 
 
@@ -199,10 +202,15 @@ def parity_submonoid() -> ResidueSubmonoid:
 
 def _rm_failure(a, b, M: ResidueSubmonoid) -> Optional[int]:
     """The first family parameter k of a's factorizations of 1 with
-    x^k * b * y^(t+k-s) outside M, a = y^s x^t, or None if a R b."""
+    x^k * b * y^(t+k-s) outside M, a = y^s x^t, or None if a R b.
+
+    The product is y^(bn-k) x^(bm-t+s-k) until k reaches min(bn, bm-t+s),
+    and constant after, so one period lcm(p, q) of residues from s and the
+    first k of the constant stretch decide it."""
     (s, t), (bn, bm) = a, b
     p, q, residues = M.p, M.q, M.residues
-    for k in range(s, max(s, bn) + 1):
+    const = max(s, min(bn, bm - t + s))
+    for k in [*range(s, min(const, s + lcm(p, q))), const]:
         n, m = _mul(*_mul(0, k, bn, bm), t + k - s, 0)
         if (n % p, m % q) not in residues:
             return k
@@ -273,7 +281,9 @@ def b_internality_counterexamples(M: ResidueSubmonoid,
 def b_internality_search(M: ResidueSubmonoid, bound: int) -> Verdict:
     """Bounded search for a compatibility failure of the reflexive syntactic
     relation; returns the first counterexample or a bounded pass.  On the
-    whole monoid the relation is total, so compatibility holds exactly."""
+    whole monoid the relation is total, so compatibility holds exactly.
+    No command calls it: it is the oracle of classify_bicyclic's exact C1,
+    and a layer the benchmark times."""
     if bound < 1:
         raise BicyclicError("bound must be >= 1")
     if M.is_full:

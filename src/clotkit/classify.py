@@ -45,6 +45,7 @@ from .relations import (
     syntactic_reflexive_relation,
     witness_json,
     zero_class,
+    zero_class_verdict,
 )
 
 if TYPE_CHECKING:
@@ -151,7 +152,6 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
     """Compute every flag for a finite pair; all modes are exact."""
     sub = as_subset(m, subset)
     rm = syntactic_reflexive_relation(m, sub)
-    zc = zero_class(rm)
     m_group = subset_group_verdict(m, sub)
     flags: dict[str, Verdict] = {
         "C": Verdict(True),
@@ -159,8 +159,7 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
         "C2": unit_transfer_condition(m, sub),
         "C3": is_dedekind_finite(m),
         "C4": group_verdict(m),
-        "C0": (Verdict(True) if zc == sub
-               else Verdict(False, witness={"u": min(zc ^ sub)})),
+        "C0": zero_class_verdict(zero_class(rm), sub),
         "C0.5": is_clot(m, sub),
         "D": is_positive_cone(m, sub),
         "Dr": homogeneity(m, sub, "right"),

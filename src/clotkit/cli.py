@@ -53,11 +53,12 @@ RESIDUE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 RM_WITNESS = "witness ({x}, {y}) product {product}"
 C1_WITNESS = ("pairs ({pair1[0]},{pair1[1]}) and ({pair2[0]},{pair2[1]}) "
               "-> product ({product[0]},{product[1]}) [{order}]")
-# bicyclic checks: (JSON key, title, witness text)
+# bicyclic checks: (JSON key, classify_bicyclic flag, option, title,
+# witness text); C0 is unit insertion: 1 R b iff every x^k b y^k is in M
 BICYCLIC_SECTIONS = (
-    ("unit_insertion", "unit insertion",
+    ("unit_insertion", "C0", "condition_r", "unit insertion",
      "witness u={u} k={k} product {product}"),
-    ("internality", "compatibility", C1_WITNESS),
+    ("internality", "C1", "internality", "compatibility", C1_WITNESS),
 )
 
 
@@ -236,12 +237,9 @@ def cmd_bicyclic(args) -> int:
             "a": str(a), "b": str(b), "related": verdict.holds,
             "witness": witness_json(verdict.witness),
         }
-    # R's zero-class is {b : x^k b y^k in M for every k}, so C0 is the
-    # unit-insertion condition
     flags = classify_bicyclic(sub).flags
-    for key, flag, asked in (("unit_insertion", "C0", args.condition_r),
-                             ("internality", "C1", args.internality)):
-        if asked:
+    for key, flag, option, _, _ in BICYCLIC_SECTIONS:
+        if getattr(args, option):
             out[key] = {"holds": flags[flag].holds,
                         "witness": witness_json(flags[flag].witness)}
     if args.normal_form:
@@ -258,7 +256,7 @@ def cmd_bicyclic(args) -> int:
         print("true" if r["related"] else "false")
         if r["witness"]:
             print(RM_WITNESS.format(**r["witness"]))
-    for key, title, template in BICYCLIC_SECTIONS:
+    for key, _, _, title, template in BICYCLIC_SECTIONS:
         if key in out:
             r = out[key]
             print(f"{title}: {'holds' if r['holds'] else 'fails'}")

@@ -7,9 +7,8 @@ the first counterexample in that order.
 
 from __future__ import annotations
 
-from .monoid import FiniteMonoid, _right_orbit
+from .monoid import FiniteMonoid, _right_orbit, unit_pairs
 from .relations import (
-    Relation,
     Verdict,
     as_subset,
     # not called here since is_clot takes the unit route; kept bound
@@ -18,13 +17,8 @@ from .relations import (
     syntactic_congruence,
     syntactic_preorder,
     zero_class,
+    zero_class_verdict,
 )
-
-
-def _unit_pairs(m: FiniteMonoid) -> list[tuple[int, int]]:
-    e = m.identity
-    return [(x, y) for x in range(m.order) for y in range(m.order)
-            if m.table[x][y] == e]
 
 
 def unit_transfer_condition(m: FiniteMonoid, subset) -> Verdict:
@@ -36,7 +30,7 @@ def unit_transfer_condition(m: FiniteMonoid, subset) -> Verdict:
     sub = as_subset(m, subset)
     table = m.table
     n = m.order
-    for x, y in _unit_pairs(m):
+    for x, y in unit_pairs(m):
         tx = table[x]
         good_s = [s for s in range(n) if tx[s] in sub]
         good_t = [t for t in range(n) if table[t][y] in sub]
@@ -49,24 +43,17 @@ def unit_transfer_condition(m: FiniteMonoid, subset) -> Verdict:
     return Verdict(True, note="scan over unit pairs")
 
 
-def _zero_class_status(m: FiniteMonoid, subset, rel: Relation,
-                       note: str) -> Verdict:
-    sub = as_subset(m, subset)
-    zc = zero_class(rel)
-    if zc == sub:
-        return Verdict(True, note=note)
-    return Verdict(False, witness={"u": min(zc ^ sub)}, note=note)
-
-
 def is_normal_submonoid(m: FiniteMonoid, subset) -> Verdict:
     """M equals the zero-class of its syntactic congruence."""
-    return _zero_class_status(m, subset, syntactic_congruence(m, subset),
+    return zero_class_verdict(zero_class(syntactic_congruence(m, subset)),
+                              as_subset(m, subset),
                               "zero-class of syntactic congruence")
 
 
 def is_positive_cone(m: FiniteMonoid, subset) -> Verdict:
     """M equals the zero-class of its syntactic preorder."""
-    return _zero_class_status(m, subset, syntactic_preorder(m, subset),
+    return zero_class_verdict(zero_class(syntactic_preorder(m, subset)),
+                              as_subset(m, subset),
                               "zero-class of syntactic preorder")
 
 
@@ -86,29 +73,23 @@ def is_clot(m: FiniteMonoid, subset) -> Verdict:
     """
     sub = as_subset(m, subset)
     table = m.table
-    conjugates = {table[table[x][u]][y] for x, y in _unit_pairs(m)
+    conjugates = {table[table[x][u]][y] for x, y in unit_pairs(m)
                   for u in sub}
     zc = set(_right_orbit(m.identity, conjugates, lambda x, g: table[x][g]))
-    note = "submonoid generated by conjugates by units"
-    if zc == sub:
-        return Verdict(True, note=note)
-    return Verdict(False, witness={"u": min(zc - sub)}, note=note)
+    return zero_class_verdict(zc, sub,
+                              "submonoid generated by conjugates by units")
 
 
 def homogeneity(m: FiniteMonoid, subset, side: str) -> Verdict:
     """Right homogeneous: aM included in Ma for all a (left: Ma in aM)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    sub = as_subset(m, subset)
-    members = sorted(sub)
-    table = m.table
+    members = sorted(as_subset(m, subset))
+    # the left check is the right one with the factors swapped
+    table = m.table if side == "right" else tuple(zip(*m.table))
     for a in range(m.order):
-        if side == "right":
-            cone = {table[v][a] for v in members}
-            bad = next((u for u in members if table[a][u] not in cone), None)
-        else:
-            cone = {table[a][v] for v in members}
-            bad = next((u for u in members if table[u][a] not in cone), None)
+        cone = {table[v][a] for v in members}
+        bad = next((u for u in members if table[a][u] not in cone), None)
         if bad is not None:
             return Verdict(False, witness={"a": a, "u": bad},
                            note="inclusion scan")

@@ -318,14 +318,19 @@ def enumerate_submonoids(m: FiniteMonoid,
     return SubmonoidEnumeration(masks, truncated)
 
 
+def unit_pairs(m: FiniteMonoid) -> list[tuple[int, int]]:
+    """Every factorization xy = 1, in ascending order of (x, y)."""
+    e = m.identity
+    return [(x, y) for x, row in enumerate(m.table)
+            for y, xy in enumerate(row) if xy == e]
+
+
 def is_dedekind_finite(m: FiniteMonoid) -> Verdict:
     """Every one-sided inverse is two-sided: xy = 1 implies yx = 1."""
     e = m.identity
-    for x in range(m.order):
-        tx = m.table[x]
-        for y in range(m.order):
-            if tx[y] == e and m.table[y][x] != e:
-                return Verdict(False, witness={"x": x, "y": y})
+    for x, y in unit_pairs(m):
+        if m.table[y][x] != e:
+            return Verdict(False, witness={"x": x, "y": y})
     return Verdict(True)
 
 
@@ -335,11 +340,12 @@ def group_verdict(m: FiniteMonoid) -> Verdict:
 
 
 def subset_group_verdict(m: FiniteMonoid, subset) -> Verdict:
-    """Whether every element of the subset has a two-sided inverse in it."""
+    """Whether every element of the subset has its two-sided inverse in it."""
     bits = frozenset(getattr(subset, "bits", subset))
     e = m.identity
+    inverse = {x: y for x, y in unit_pairs(m) if m.table[y][x] == e}
     for u in sorted(bits):
-        if not any(m.table[u][v] == e and m.table[v][u] == e for v in bits):
+        if inverse.get(u) not in bits:
             return Verdict(False, witness={"a": u})
     return Verdict(True)
 

@@ -169,6 +169,13 @@ def zero_class(rel: Relation) -> frozenset[int]:
     return frozenset(_bits(rel.rows[rel.parent.identity]))
 
 
+def zero_class_verdict(zc, sub: frozenset, note: str = "") -> Verdict:
+    """sub equals the zero-class zc; a failure's witness u is min(zc ^ sub)."""
+    if zc == sub:
+        return Verdict(True, note=note)
+    return Verdict(False, witness={"u": min(zc ^ sub)}, note=note)
+
+
 def is_internal(rel: Relation) -> Verdict:
     """Compatibility with the product: a S b and a' S b' imply aa' S bb'.
 

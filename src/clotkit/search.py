@@ -140,11 +140,10 @@ def _closed_residue_submonoids(moduli_bound: int):
             for mask in range(1, 1 << p, 2)]
 
 
-# bounds of the hunt's bicyclic checks, stated in its report
+# bound of the hunt's interleaved-insertion check, stated in its report
 HUNT_INSERTION_NMAX = 2
-HUNT_INTERNALITY_BOUND = 3
-# largest moduli bound of the hunt: it checks 2^b - 1 residue submonoids,
-# and the whole command took 2.3 s at moduli 6
+# largest moduli bound of the hunt: it runs the insertion BFS on 2^b - 1
+# residue submonoids, and the whole command took 1.6 s at moduli 6
 HUNT_MODULI_CEILING = 6
 
 
@@ -157,14 +156,13 @@ def open_question_report(corpus: Optional[Corpus] = None,
     monoids are Dedekind finite, so the relation is always compatible);
     the scan confirms every clot pair also lies in C(1,0).
 
-    Part two: a bounded hunt over the bicyclic residue submonoids with
-    moduli <= moduli_bound, reporting any candidate whose bounded
-    interleaved-insertion check passes while the bounded compatibility
-    search fails.  The family is complete by theorem (every residue
-    submonoid is a diagonal Δ_p(S)), but the checks on each member stay
-    bounded, so every conclusion of this part is evidence at a stated
-    bound, never a theorem.  A moduli bound outside 1..HUNT_MODULI_CEILING
-    raises ValueError.
+    Part two: a hunt over the bicyclic residue submonoids with moduli <=
+    moduli_bound, complete by theorem (each is a diagonal Δ_p(S)), for a
+    candidate whose interleaved-insertion check passes while its C1,
+    decided exactly by classify_bicyclic, fails.  The insertion check
+    stays bounded, so each conclusion of this part is evidence at a
+    stated bound, never a theorem.  A moduli bound outside
+    1..HUNT_MODULI_CEILING raises ValueError.
     """
     if not 1 <= moduli_bound <= HUNT_MODULI_CEILING:
         raise ValueError(f"moduli_bound {moduli_bound!r} outside "
@@ -203,10 +201,10 @@ def open_question_report(corpus: Optional[Corpus] = None,
         if not eq.holds:
             continue
         insertion_passes.append(sub.describe())
-        search = bc.b_internality_search(sub, HUNT_INTERNALITY_BOUND)
-        if not search.holds:
+        c1 = classify_bicyclic(sub).flags["C1"]
+        if not c1.holds:
             candidates.append({"submonoid": sub.describe(),
-                               **witness_json(search.witness)})
+                               **witness_json(c1.witness)})
     bicyclic_part = {
         "moduli_bound": moduli_bound,
         "submonoids_checked": len(submonoids),
@@ -214,8 +212,7 @@ def open_question_report(corpus: Optional[Corpus] = None,
         "candidates": candidates,
         "mode": "bounded",
         "note": ("interleaved insertion checked for "
-                 f"n<={HUNT_INSERTION_NMAX}; compatibility searched with "
-                 f"exponents<={HUNT_INTERNALITY_BOUND}; all conclusions "
-                 "bounded"),
+                 f"n<={HUNT_INSERTION_NMAX}, a bounded check; compatibility "
+                 "decided exactly from the diagonal form"),
     }
     return {"finite_vacuity": finite, "bicyclic_candidates": bicyclic_part}

@@ -6,7 +6,13 @@ independent oracles for clotkit's exact bicyclic procedures.
   oracle of classify_bicyclic's C0;
 * `related_pairs_up_to`: the related pairs of the reflexive syntactic
   relation with exponents up to a bound, decided by the integer kernel
-  behind b_rm_related and b_internality_counterexamples.
+  behind b_rm_related and b_internality_counterexamples;
+* `rm_related_full_scan`: the reflexive syntactic relation by a scan of
+  every factorization of 1 up to the one where the product turns
+  constant; the oracle of b_rm_related, which scans one period of them;
+* `normal_form_by_rewriting`: the normal form of a word by deleting
+  every factor xy until none is left; the oracle of the one-pass
+  bword_normal_form.
 """
 
 from __future__ import annotations
@@ -43,3 +49,30 @@ def related_pairs_up_to(M: bc.ResidueSubmonoid, bound: int):
     exps = bc._exponents(bound)
     return [bc._elements(a, b) for a in exps for b in exps
             if bc._rm_failure(a, b, M) is None]
+
+
+def rm_related_full_scan(a: bc.BicyclicElement, b: bc.BicyclicElement,
+                         M: bc.ResidueSubmonoid) -> Verdict:
+    """Every factorization X*a*Y = 1 gives X*b*Y in M, scanning the family
+    parameter m over [a.n, max(a.n, b.n)]; the product is constant beyond."""
+    fam = bc.one_factorizations(a)
+    for m in range(a.n, max(a.n, b.n) + 1):
+        left, right = fam.member(m)
+        prod = bc.bmul(bc.bmul(left, b), right)
+        if prod not in M:
+            return Verdict(False,
+                           witness={"x": left, "y": right, "product": prod})
+    return Verdict(True)
+
+
+def normal_form_by_rewriting(word: str) -> bc.BicyclicElement:
+    """Normal form of a word over {x, y}, deleting xy until none is left."""
+    for ch in word:
+        if ch not in "xy":
+            raise bc.BicyclicError(f"bad character {ch!r} in word")
+    while "xy" in word:
+        word = word.replace("xy", "")
+    n = word.count("y")
+    m = word.count("x")
+    assert word == "y" * n + "x" * m
+    return bc.BicyclicElement(n, m)

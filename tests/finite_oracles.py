@@ -24,8 +24,7 @@ from math import lcm
 from typing import Optional
 
 from clotkit import bicyclic as bc
-from clotkit.clots import _unit_pairs
-from clotkit.monoid import FiniteMonoid, MonoidError
+from clotkit.monoid import FiniteMonoid, MonoidError, unit_pairs
 from clotkit.relations import Relation, Verdict, _bits, as_subset
 
 
@@ -42,7 +41,7 @@ def unit_insertion_condition(m: FiniteMonoid, subset) -> Verdict:
     sub = as_subset(m, subset)
     table = m.table
     members = sorted(sub)
-    for x, y in _unit_pairs(m):
+    for x, y in unit_pairs(m):
         tx = table[x]
         for u in members:
             if table[tx[u]][y] not in sub:

@@ -1,3 +1,4 @@
+import time
 from math import lcm
 
 import pytest
@@ -26,7 +27,12 @@ from clotkit.bicyclic import (
 from clotkit.relations import Verdict
 from clotkit.search import _closed_residue_submonoids
 
-from bicyclic_oracles import b_unit_insertion_condition, related_pairs_up_to
+from bicyclic_oracles import (
+    b_unit_insertion_condition,
+    normal_form_by_rewriting,
+    related_pairs_up_to,
+    rm_related_full_scan,
+)
 
 exponents = st.integers(min_value=0, max_value=8)
 elements = st.builds(BicyclicElement, exponents, exponents)
@@ -46,6 +52,20 @@ def test_product_examples():
         BicyclicElement(2, 1)
     assert bmul(ONE, BicyclicElement(4, 7)) == BicyclicElement(4, 7)
     assert bmul(BicyclicElement(4, 7), ONE) == BicyclicElement(4, 7)
+
+
+@given(st.text(alphabet="xy", max_size=40))
+def test_one_pass_normal_form_matches_rewriting(word):
+    assert bword_normal_form(word) == normal_form_by_rewriting(word)
+
+
+def test_normal_form_of_a_long_word_is_linear():
+    # 120 KB, under the argv limit; deleting xy factors is quadratic on it
+    start = time.perf_counter()
+    assert bword_normal_form("x" * 60000 + "y" * 60000) == ONE
+    assert bword_normal_form("y" * 60000 + "x" * 60000) == \
+        BicyclicElement(60000, 60000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_word_normal_forms():
@@ -333,17 +353,6 @@ def test_interleaved_insertion_bicyclic():
 # The scans as they were written on BicyclicElement and bmul, before they
 # ran on integer exponent pairs, kept as oracles for the integer kernels.
 
-def _reference_rm_related(a, b, M):
-    fam = one_factorizations(a)
-    for m in range(a.n, max(a.n, b.n) + 1):
-        left, right = fam.member(m)
-        prod = bmul(bmul(left, b), right)
-        if prod not in M:
-            return Verdict(False,
-                           witness={"x": left, "y": right, "product": prod})
-    return Verdict(True)
-
-
 def _reference_elements(bound):
     return [BicyclicElement(n, m)
             for n in range(bound + 1) for m in range(bound + 1)]
@@ -352,16 +361,16 @@ def _reference_elements(bound):
 def _reference_counterexamples(M, bound):
     elems = _reference_elements(bound)
     pairs = [(a, b) for a in elems for b in elems
-             if _reference_rm_related(a, b, M).holds]
+             if rm_related_full_scan(a, b, M).holds]
     for p1 in pairs:
         for p2 in pairs:
             first = (bmul(p1[0], p2[0]), bmul(p1[1], p2[1]))
-            if not _reference_rm_related(first[0], first[1], M).holds:
+            if not rm_related_full_scan(first[0], first[1], M).holds:
                 yield {"pair1": p1, "pair2": p2, "order": "first*second",
                        "product": first}
             if p1 != p2:
                 second = (bmul(p2[0], p1[0]), bmul(p2[1], p1[1]))
-                if not _reference_rm_related(second[0], second[1], M).holds:
+                if not rm_related_full_scan(second[0], second[1], M).holds:
                     yield {"pair1": p1, "pair2": p2, "order": "second*first",
                            "product": second}
 
@@ -415,12 +424,29 @@ def residue_submonoids():
 
 
 def test_rm_related_matches_element_reference(residue_submonoids):
-    elems = _reference_elements(4)
-    for sub in residue_submonoids:
+    # b_rm_related scans one period of the factorizations, the reference
+    # all of them; exponents up to 8 pass two periods of every modulus 4
+    elems = _reference_elements(8)
+    other = residue_submonoid(2, 4, {(0, 0), (0, 2), (1, 1), (1, 3)})
+    for sub in residue_submonoids + [other]:
         for a in elems:
             for b in elems:
                 assert repr(b_rm_related(a, b, sub)) == \
-                    repr(_reference_rm_related(a, b, sub)), (sub, a, b)
+                    repr(rm_related_full_scan(a, b, sub)), (sub, a, b)
+
+
+def test_rm_related_decides_huge_exponents_at_once():
+    # one period of k decides; a scan of every k up to b.n would not finish
+    parity = parity_submonoid()
+    d2 = residue_submonoid(2, 2, {(0, 0), (1, 1)})
+    big = 10 ** 12
+    start = time.perf_counter()
+    assert b_rm_related(ONE, BicyclicElement(big, 0), parity).holds
+    assert b_rm_related(ONE, BicyclicElement(big, big), d2).holds
+    # y^(N-1) x^(N-1) at k = 1 is odd, so it leaves the parity submonoid
+    assert b_rm_related(ONE, BicyclicElement(big, big), parity).witness == {
+        "x": X, "y": Y, "product": BicyclicElement(big - 1, big - 1)}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_related_pairs_match_element_reference(residue_submonoids):
@@ -428,7 +454,7 @@ def test_related_pairs_match_element_reference(residue_submonoids):
     for sub in residue_submonoids:
         assert related_pairs_up_to(sub, 3) == [
             (a, b) for a in elems for b in elems
-            if _reference_rm_related(a, b, sub).holds], sub
+            if rm_related_full_scan(a, b, sub).holds], sub
 
 
 def test_internality_counterexamples_match_element_reference(

@@ -4,7 +4,6 @@ from itertools import product as iter_product
 import pytest
 
 from clotkit import monoid as monoid_module
-from clotkit.clots import _unit_pairs
 from clotkit.monoid import (
     BadIdentity,
     IndexOutOfRange,
@@ -25,6 +24,7 @@ from clotkit.monoid import (
     restrict_to_submonoid,
     submonoid_closure,
     subset_group_verdict,
+    unit_pairs,
     validate_monoid,
 )
 from finite_oracles import pairwise_submonoid_closure
@@ -175,7 +175,7 @@ def test_submonoid_closure_matches_pairwise_oracle(t3, corpus):
     # the conjugates x*u*y (xy = 1) that is_clot closes, on every corpus pair
     for pair in corpus:
         t = pair.monoid.table
-        seed = {t[t[x][u]][y] for x, y in _unit_pairs(pair.monoid)
+        seed = {t[t[x][u]][y] for x, y in unit_pairs(pair.monoid)
                 for u in pair.mask}
         assert submonoid_closure(pair.monoid, seed).bits == \
             pairwise_submonoid_closure(pair.monoid, seed), pair.name

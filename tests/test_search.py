@@ -164,6 +164,16 @@ def test_open_question_report_small_bound(corpus):
     assert any("(1,1)" in s for s in hunt["interleaved_insertion_passes"])
 
 
+def test_hunt_runs_no_bounded_compatibility_search(corpus, monkeypatch):
+    # C1 of each residue submonoid comes from classify_bicyclic, exactly
+    def refuse(*args):
+        raise AssertionError("the hunt ran b_internality_search")
+
+    monkeypatch.setattr(bc, "b_internality_search", refuse)
+    hunt = open_question_report(corpus, moduli_bound=4)["bicyclic_candidates"]
+    assert hunt["candidates"] == [] and hunt["mode"] == "bounded"
+
+
 # The finite part as it was computed before it took C1 from Dedekind
 # finiteness: every flag of every pair from classify_pair, C1 by the
 # is_internal scan.  Kept as the oracle.
