@@ -62,13 +62,15 @@ BICYCLIC_SECTIONS = (
 )
 
 
-# Largest --bound of hunt and largest modulus of bicyclic --mod, so that
-# no argument starts work without limit.  hunt:
+# Largest --bound of hunt, largest modulus of bicyclic --mod and largest
+# --cap of classify, so that no argument starts work without limit.  hunt:
 # search.HUNT_MODULI_CEILING, which open_question_report enforces too.
 # --mod: validating a residue set multiplies its members with exponents
 # below 2*lcm(p, q), at most 4*lcm(p, q)**2 of them; moduli up to 6, those
-# the hunt reaches, keep that under 3,600.
-BOUND_CEILINGS = {"hunt": HUNT_MODULI_CEILING, "bicyclic --mod": 6}
+# the hunt reaches, keep that under 3,600.  --cap: enumerate_submonoids
+# keeps at most cap sets and a row of order extensions for each.
+BOUND_CEILINGS = {"hunt": HUNT_MODULI_CEILING, "bicyclic --mod": 6,
+                  "classify --cap": DEFAULT_ENUM_CAP}
 
 
 class InputError(Exception):
@@ -383,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--submonoid", help="named subset or index list")
     p.add_argument("--all-submonoids", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+                   help="most submonoids --all-submonoids lists, at most "
+                        f"{BOUND_CEILINGS['classify --cap']}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -433,17 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("bound", "cap"):
+    ceilings = {"bound": BOUND_CEILINGS.get(args.command),
+                "cap": BOUND_CEILINGS.get(f"{args.command} --cap")}
+    for flag, ceiling in ceilings.items():
         value = getattr(args, flag, 1)
         if value < 1:
             print(f"error: --{flag} {value} must be positive",
                   file=sys.stderr)
             return BAD_INPUT
-    ceiling = BOUND_CEILINGS.get(args.command)
-    if ceiling is not None and args.bound > ceiling:
-        print(f"error: --bound {args.bound} is above the ceiling "
-              f"{ceiling} of {args.command}", file=sys.stderr)
-        return BAD_INPUT
+        if ceiling is not None and value > ceiling:
+            print(f"error: --{flag} {value} is above the ceiling "
+                  f"{ceiling} of {args.command}", file=sys.stderr)
+            return BAD_INPUT
     try:
         return args.func(args)
     except InputError as exc:

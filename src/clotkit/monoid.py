@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .relations import Verdict
+from .relations import Verdict, _bits
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_ENUM_CAP = 10_000
@@ -251,8 +251,8 @@ def submonoid_closure(m: FiniteMonoid, seed: Iterable[int]) -> SubmonoidMask:
     return SubmonoidMask(m, frozenset(orbit).union(gens))
 
 
-def _extension(right: list[list[int]], members: list[int], bits: int,
-               gens: tuple[int, ...]) -> int:
+def _join(right: list[list[int]], members: list[int], bits: int,
+          gens: tuple[int, ...]) -> int:
     """The least set closed under the product table `right` that holds the
     closed set `bits` (its `members`, generated by gens[:-1]) and c =
     gens[-1]: the set plus the right orbit of its products s·c under gens,
@@ -279,24 +279,49 @@ def _closed_sets(right: list[list[int]], one: int,
                  cap: Optional[int] = None) -> tuple[list[int], bool]:
     """Bitmasks of the sets closed under the product table `right`, where
     right[x][y] is the bitmask of x*y, that hold its identity `one`:
-    breadth first from {one}, each set extended by one element in
-    ascending order through the generators it was reached by; at most cap,
-    flagged when one was left out."""
+    breadth first from {one}, each set S extended by each c outside it in
+    ascending order, E(S, c) being the least closed set holding S and c; at
+    most cap, flagged when one was left out.
+
+    Each set keeps its row of extensions (E(S, c) = S for c in S).  A set
+    S = E(P, d), first reached from its parent P by d, has E(S, c) =
+    cl(P ∪ {c, d}) for c outside S, read from the rows: it is E(P, c) when
+    that holds d, else E(T, d) for T = E(P, c) when T was extended before
+    S.  Only when both fail is it closed by `_join`, through the generators
+    S was reached by; on T3 that is 1,744 of 13,743 extensions."""
     n = len(right)
     first = 1 << one
-    gens = {first: ()}
+    index = {first: 0}
     found = [first]
-    for bits in found:
-        members = [x for x in range(n) if bits >> x & 1]
+    gens = [()]
+    reached: list[tuple[Optional[int], int]] = [(None, one)]
+    rows: list[list[int]] = []
+    for i, bits in enumerate(found):
+        parent, d = reached[i]
+        members = None
+        row = [bits] * n
         for c in range(n):
-            if not bits >> c & 1:
-                reached_by = gens[bits] + (c,)
-                grown = _extension(right, members, bits, reached_by)
-                if grown not in gens:
-                    if len(found) == cap:
-                        return found, True
-                    gens[grown] = reached_by
-                    found.append(grown)
+            if bits >> c & 1:
+                continue
+            grown = None
+            if parent is not None:
+                grown = rows[parent][c]
+                if not grown >> d & 1:
+                    t = index[grown]
+                    grown = rows[t][d] if t < i else None
+            if grown is None:
+                if members is None:
+                    members = list(_bits(bits))
+                grown = _join(right, members, bits, gens[i] + (c,))
+            row[c] = grown
+            if grown not in index:
+                if len(found) == cap:
+                    return found, True
+                index[grown] = len(found)
+                found.append(grown)
+                gens.append(gens[i] + (c,))
+                reached.append((i, c))
+        rows.append(row)
     return found, False
 
 
@@ -308,13 +333,14 @@ class SubmonoidEnumeration(NamedTuple):
 def enumerate_submonoids(m: FiniteMonoid,
                          cap: int = DEFAULT_ENUM_CAP) -> SubmonoidEnumeration:
     """All submonoids, by `_closed_sets` from {1}: deterministic, at most
-    cap, with the truncation flag set when one was left out."""
+    cap, with the truncation flag set when one was left out.  The search
+    keeps a row of m.order extensions per set it extends, so at most
+    cap·m.order references."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     right = [[1 << y for y in row] for row in m.table]
     found, truncated = _closed_sets(right, m.identity, cap)
-    masks = [SubmonoidMask(m, frozenset(
-        i for i in range(m.order) if bits >> i & 1)) for bits in found]
+    masks = [SubmonoidMask(m, frozenset(_bits(bits))) for bits in found]
     return SubmonoidEnumeration(masks, truncated)
 
 

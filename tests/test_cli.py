@@ -419,6 +419,26 @@ def test_hunt_bound_above_ceiling_rejected(capsys, monkeypatch):
     assert code == 2 and f"--bound {ceiling + 1}" in err
 
 
+def test_classify_cap_above_ceiling_rejected(capsys, monkeypatch):
+    from clotkit import cli as cli_module
+
+    # the refusal comes before the monoid file is read
+    monkeypatch.setattr(cli_module, "_load", None)
+    ceiling = cli_module.BOUND_CEILINGS["classify --cap"]
+    assert ceiling == 10_000
+    code, out, err = run(capsys, "classify", "any.json", "--all-submonoids",
+                         "--cap", str(ceiling + 1))
+    assert code == 2 and out == ""
+    assert f"--cap {ceiling + 1} is above the ceiling {ceiling}" in err
+
+
+def test_classify_cap_at_ceiling_accepted(t2_file, capsys):
+    code, out, err = run(capsys, "classify", t2_file, "--all-submonoids",
+                         "--cap", "10000", "--json")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)) == 6
+
+
 def test_examples_command_passes(capsys):
     code, out, _ = run(capsys, "paper-examples")
     assert code == 0

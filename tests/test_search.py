@@ -4,9 +4,14 @@ from math import lcm
 import pytest
 
 from clotkit import bicyclic as bc
-from clotkit import search
+from clotkit import monoid, search
 from clotkit.classify import FLAG_ORDER, IMPLICATIONS, classify_pair
-from clotkit.monoid import _closed_sets, full_transformation_monoid
+from clotkit.monoid import (
+    TransformationSpec,
+    _closed_sets,
+    full_transformation_monoid,
+    monoid_from_transformations,
+)
 from clotkit.relations import Verdict
 from clotkit.search import (
     HUNT_MODULI_CEILING,
@@ -263,13 +268,40 @@ def test_table_closed_sets_are_the_validated_sets():
             [sub.residues for sub in _brute_force_residue_sets(p, q)], (p, q)
 
 
+def _product_bits(m):
+    return [[1 << y for y in row] for row in m.table]
+
+
 def test_closed_sets_match_the_two_sided_search(corpus, t3):
-    monoids = {pair.monoid for pair in corpus} | {t3[0]}
-    for m in monoids:
-        right = [[1 << y for y in row] for row in m.table]
-        for cap in (1, 10, 170, None):
+    # T4 truncates while it extends {1}; the two monoids of order 42 and 58
+    # generated in T4 have thousands of submonoids, and by cap 1,000 many
+    # extensions are read from the row of a set other than the parent
+    t4 = full_transformation_monoid(4)[0]
+    generated = [monoid_from_transformations(TransformationSpec(4, gens))
+                 for gens in (((3, 2, 3, 4), (4, 1, 1, 2)),
+                              ((4, 1, 4, 3), (2, 4, 1, 2)))]
+    assert [m.order for m in generated] == [42, 58]
+    cases = [(m, (1, 10, 170, None))
+             for m in {pair.monoid for pair in corpus} | {t3[0]}]
+    cases += [(t4, (1, 10, 170))] + [(m, (1, 10, 170, 1000))
+                                     for m in generated]
+    for m, caps in cases:
+        right = _product_bits(m)
+        for cap in caps:
             assert _closed_sets(right, m.identity, cap) == \
                 two_sided_closed_sets(right, m.identity, cap), (m.name, cap)
+
+
+def test_closed_sets_join_few_extensions(t3, monkeypatch):
+    # 13,743 one-element extensions of T3's 699 closed sets; all but 1,744
+    # are read from the rows of sets already extended
+    calls = []
+    join = monoid._join
+    monkeypatch.setattr(monoid, "_join",
+                        lambda *args: calls.append(1) or join(*args))
+    found, truncated = _closed_sets(_product_bits(t3[0]), t3[0].identity)
+    assert (len(found), truncated) == (699, False)
+    assert len(calls) <= 2000
 
 
 def test_closed_residue_submonoids_match_brute_force():
