@@ -16,6 +16,8 @@ Flag names, from weakest to strongest requirements:
 * Dh       Dr with M a group;
 * normal   M is a normal submonoid (zero-class of its syntactic congruence).
 
+Every report also holds group(M), the verdict that M is a group, as an
+operand of C5 and Dh; it is not in FLAG_ORDER, so no output prints it.
 Each flag carries a mode: "exact", "bounded" (confirmed only up to a
 stated bound) or "n/a" (not computed for this kind of pair).
 """
@@ -69,8 +71,8 @@ IMPLICATIONS = (
     ("normal", "D"),
 )
 
-# Each derived flag is the conjunction of two verdicts listed before it;
-# GROUP_M is the verdict that the submonoid is a group.
+# Each derived flag is the conjunction of two verdicts listed before it,
+# or of one and GROUP_M, the flag that M is a group.
 GROUP_M = "group(M)"
 CONJUNCTIONS = {
     "C5": ("C4", GROUP_M),
@@ -83,7 +85,6 @@ CONJUNCTIONS = {
 class ClassificationReport:
     pair: str
     flags: dict[str, Verdict]
-    m_is_group: Optional[bool]
 
     def holds(self, name: str) -> Optional[bool]:
         return self.flags[name].holds
@@ -107,25 +108,22 @@ def flag_and(f1: Verdict, f2: Verdict) -> Verdict:
     return Verdict(True)
 
 
-def _infer(flags: dict[str, Verdict], m_group: Verdict) -> list[str]:
+def _infer(flags: dict[str, Verdict]) -> list[str]:
     """Settle in place every n/a flag that the hierarchy decides; return
     the violated edges and conjunctions.  Each round first fills the
     conjunctions, the flag_and of operands the classifier may have set,
     then crosses the edges: a proved inner flag proves the outer one, a
     refuted outer flag refutes the inner one.  The settling verdict gets
-    a note naming its rule: "by D ⊆ C0.5" or "by C(4,0) = C4 ∧ C0"."""
-    for name in FLAG_ORDER:
+    a note naming its rule: "by D ⊆ C0.5" or "by C(4,0) = C4 ∧ C0".
+    A flag missing from the table, GROUP_M too, starts as n/a."""
+    for name in (GROUP_M, *FLAG_ORDER):
         flags.setdefault(name, NOT_COMPUTED)
-
-    def conjunction(a: str, b: str) -> Verdict:
-        return flag_and(flags[a], m_group if b == GROUP_M else flags[b])
-
     changed = True
     while changed:
         changed = False
         for name, (a, b) in CONJUNCTIONS.items():
             if flags[name].holds is None:
-                both = conjunction(a, b)
+                both = flag_and(flags[a], flags[b])
                 if both.holds is not None:
                     flags[name] = replace(both,
                                           note=f"by {name} = {a} ∧ {b}")
@@ -140,7 +138,8 @@ def _infer(flags: dict[str, Verdict], m_group: Verdict) -> list[str]:
     return ([f"{i}=>{o}" for i, o in IMPLICATIONS
              if flags[i].holds is True and flags[o].holds is False]
             + [f"{n}<=>{a}&{b}" for n, (a, b) in CONJUNCTIONS.items()
-               if {conjunction(a, b).holds, flags[n].holds} == {True, False}])
+               if {flag_and(flags[a], flags[b]).holds,
+                   flags[n].holds} == {True, False}])
 
 
 def pair_name(m: FiniteMonoid, subset) -> str:
@@ -152,8 +151,8 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
     """Compute every flag for a finite pair; all modes are exact."""
     sub = as_subset(m, subset)
     rm = syntactic_reflexive_relation(m, sub)
-    m_group = subset_group_verdict(m, sub)
     flags: dict[str, Verdict] = {
+        GROUP_M: subset_group_verdict(m, sub),
         "C": Verdict(True),
         "C1": is_internal(rm),
         "C2": unit_transfer_condition(m, sub),
@@ -166,10 +165,10 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
         "Dl": homogeneity(m, sub, "left"),
         "normal": is_normal_submonoid(m, sub),
     }
-    _infer(flags, m_group)
+    _infer(flags)
     # finite flags keep no note: the report gives verdicts and witnesses
     flags = {n: replace(f, note="") if f.note else f for n, f in flags.items()}
-    return ClassificationReport(pair_name(m, sub), flags, m_group.holds)
+    return ClassificationReport(pair_name(m, sub), flags)
 
 
 def classify_bicyclic(M: ResidueSubmonoid) -> ClassificationReport:
@@ -216,18 +215,16 @@ def classify_bicyclic(M: ResidueSubmonoid) -> ClassificationReport:
         flags["C0"] = Verdict(False, witness={"u": u, "k": 1, "product": below},
                               note=f"xuy = {below} is not in M")
     # every residue submonoid contains the non-invertible element x^q
-    m_group = Verdict(False, witness={"a": bc.BicyclicElement(0, M.q)},
-                      note="contains a non-invertible power of x")
-    _infer(flags, m_group)
-    return ClassificationReport(f"B:{M.describe()}", flags, m_group.holds)
+    flags[GROUP_M] = Verdict(False, witness={"a": bc.BicyclicElement(0, M.q)},
+                             note="contains a non-invertible power of x")
+    _infer(flags)
+    return ClassificationReport(f"B:{M.describe()}", flags)
 
 
 def check_consistency(report: ClassificationReport) -> list[str]:
     """Violated edges and conjunctions of the hierarchy, found by running
     the inference on a copy of the report's flags; empty iff consistent."""
-    m_group = (NOT_COMPUTED if report.m_is_group is None
-               else Verdict(report.m_is_group))
-    return _infer(dict(report.flags), m_group)
+    return _infer(dict(report.flags))
 
 
 def report_json(report: ClassificationReport,

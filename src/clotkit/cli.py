@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 2 invalid input, 3 internal error.  The
 paper-examples subcommand exits 0 only if all three bundled worked
-examples reproduce.
+examples reproduce.  A reader that closes stdout early, as `| head` does,
+ends the output quietly: exit 0, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -296,8 +298,8 @@ def _example_doubling() -> tuple[list[str], bool]:
 
     report = doubling_refutation_report(5)
     lines = [f"  f*g = identity: {str(report.fg_is_identity).lower()}"]
-    for row in report.rows:
-        lines.append(f"  f*u^{row.n}*g = {ea_to_literal(row.composite)}: "
+    for n, h in enumerate(report.composites, start=1):
+        lines.append(f"  f*u^{n}*g = {ea_to_literal(h)}: "
                      f"outside the doubling submonoid")
     return lines, report.passed
 
@@ -450,7 +452,14 @@ def main(argv=None) -> int:
                   f"{ceiling} of {args.command}", file=sys.stderr)
             return BAD_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows up here, while the try can still catch it
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is left, flushed at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return OK
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

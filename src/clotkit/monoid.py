@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .relations import Verdict, _bits
+from .relations import Verdict, _bits, as_subset
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_ENUM_CAP = 10_000
@@ -367,7 +367,7 @@ def group_verdict(m: FiniteMonoid) -> Verdict:
 
 def subset_group_verdict(m: FiniteMonoid, subset) -> Verdict:
     """Whether every element of the subset has its two-sided inverse in it."""
-    bits = frozenset(getattr(subset, "bits", subset))
+    bits = as_subset(m, subset)
     e = m.identity
     inverse = {x: y for x, y in unit_pairs(m) if m.table[y][x] == e}
     for u in sorted(bits):
@@ -434,8 +434,12 @@ def monoid_from_dict(d: dict):
     Returns (monoid, named_subsets).
     """
     if "table" in d:
-        m = validate_monoid(d["table"], d["identity"],
-                            labels=d.get("labels"), name=d.get("name", "M"))
+        name, labels = d.get("name", "M"), d.get("labels")
+        if not isinstance(name, str):
+            raise MonoidError(f"name {name!r} is not a string")
+        if "labels" in d and not isinstance(labels, list):
+            raise MonoidError(f"labels {labels!r} is not a list")
+        m = validate_monoid(d["table"], d["identity"], labels, name)
         order = d.get("order", m.order)
         if not _is_index(order) or order != m.order:
             raise MonoidError(f"declared order {order!r} does not match table")

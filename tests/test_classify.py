@@ -29,7 +29,7 @@ from clotkit.classify import (
     report_json,
 )
 from clotkit.clots import is_clot
-from clotkit.monoid import full_transformation_monoid
+from clotkit.monoid import full_transformation_monoid, subset_group_verdict
 from clotkit.search import _closed_residue_submonoids
 from clotkit.relations import (
     Verdict,
@@ -90,8 +90,32 @@ def test_corrupted_report_is_flagged(s3):
     report = classify_pair(s3, A3)
     broken = dict(report.flags)
     broken["C2"] = Verdict(False, witness={"x": 0})
-    corrupted = type(report)(report.pair, broken, report.m_is_group)
+    corrupted = type(report)(report.pair, broken)
     assert "C3=>C2" in check_consistency(corrupted)
+
+
+def test_corrupted_derived_flag_is_flagged(s3):
+    # SWAP12 is a subgroup of the group S3, so C5 and Dh follow group(M)
+    report = classify_pair(s3, SWAP12)
+    for name, a in (("C5", "C4"), ("Dh", "Dr")):
+        flipped = Verdict(not report.holds(name))
+        corrupted = type(report)(report.pair,
+                                 {**report.flags, name: flipped})
+        assert check_consistency(corrupted) == [f"{name}<=>{a}&{GROUP_M}"]
+
+
+def test_group_flag_keeps_its_witness(t2):
+    m, named = t2
+    whole = frozenset(range(m.order))
+    group = classify_pair(m, whole).flags[GROUP_M]
+    assert group == subset_group_verdict(m, whole)
+    assert (group.holds, group.witness) == (False, {"a": 0})
+    assert classify_pair(m, named["bijections"]).holds(GROUP_M) is True
+    other = residue_submonoid(2, 4, {(0, 0), (0, 2), (1, 1), (1, 3)})
+    for sub in (parity_submonoid(), other):
+        group = classify_bicyclic(sub).flags[GROUP_M]
+        assert (group.holds, group.mode) == (False, "exact")
+        assert group.witness == {"a": BicyclicElement(0, sub.q)}
 
 
 def test_every_edge_and_conjunction_is_checked():
@@ -99,28 +123,24 @@ def test_every_edge_and_conjunction_is_checked():
     yes, no = Verdict(True), Verdict(False)
     for inner, outer in IMPLICATIONS:
         report = ClassificationReport(
-            "synthetic", {**unknown, inner: yes, outer: no}, None)
+            "synthetic", {**unknown, inner: yes, outer: no})
         assert f"{inner}=>{outer}" in check_consistency(report)
     for name, (a, b) in CONJUNCTIONS.items():
         rule = f"{name}<=>{a}&{b}"
         # both operands hold but the conjunction fails
-        if b == GROUP_M:
-            report = ClassificationReport(
-                "synthetic", {**unknown, a: yes, name: no}, True)
-        else:
-            report = ClassificationReport(
-                "synthetic", {**unknown, a: yes, b: yes, name: no}, None)
+        report = ClassificationReport(
+            "synthetic", {**unknown, a: yes, b: yes, name: no})
         assert check_consistency(report) == [rule]
         # one operand fails but the conjunction holds
         report = ClassificationReport(
-            "synthetic", {**unknown, a: no, name: yes}, None)
+            "synthetic", {**unknown, a: no, name: yes})
         assert rule in check_consistency(report)
 
 
-def _inferred(given, m_group=NOT_COMPUTED):
+def _inferred(given):
     """The flags the pass settles from the given ones, and its violations."""
     flags = dict(given)
-    return flags, _infer(flags, m_group)
+    return flags, _infer(flags)
 
 
 def test_refuted_c1_refutes_the_chain_above_it():
@@ -161,8 +181,9 @@ def test_bounded_pass_propagates_with_its_bound():
 def test_a_flag_the_classifier_set_is_never_overwritten():
     own = Verdict(True, note="own")
     given = {"C1": Verdict(False, witness={"x": 0}), "C2": own,
-             "C5": Verdict(False, note="set")}
-    flags, bad = _inferred(given, Verdict(False, witness={"a": 1}))
+             "C5": Verdict(False, note="set"),
+             GROUP_M: Verdict(False, witness={"a": 1})}
+    flags, bad = _inferred(given)
     assert flags["C2"] is own and flags["C5"] is given["C5"]
     assert bad == ["C2=>C1"]
 
@@ -171,7 +192,7 @@ def test_consistency_sees_through_an_unset_flag():
     # normal ⊆ D ⊆ C0.5: the gap at D hides no contradiction
     report = ClassificationReport(
         "synthetic", {**{name: NOT_COMPUTED for name in FLAG_ORDER},
-                      "normal": Verdict(True), "C0.5": Verdict(False)}, None)
+                      "normal": Verdict(True), "C0.5": Verdict(False)})
     assert check_consistency(report) == ["normal=>D"]
     assert report.flags["D"] is NOT_COMPUTED
 
@@ -196,7 +217,7 @@ def test_bicyclic_residue_reports_are_settled():
                    for f in report.flags.values()), name
         assert check_consistency(report) == [], name
         again = dict(report.flags)
-        assert _infer(again, Verdict(False)) == []
+        assert _infer(again) == []
         assert again == report.flags
 
 

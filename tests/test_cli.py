@@ -147,6 +147,11 @@ Z2 = {"table": [[0, 1], [1, 0]], "identity": 0}
     ({"domain": 2, "generators": [[1, 1]], "close": None}, "close None"),
     ({"domain": 513, "generators": []}, "domain 513"),
     ({"domain": 1_000_000, "generators": []}, "domain 1000000"),
+    # name must be a string and labels a list
+    (dict(Z2, name=["n"]), "name ['n'] is not a string"),
+    (dict(Z2, name=None), "name None is not a string"),
+    (dict(Z2, labels="ab"), "labels 'ab' is not a list"),
+    (dict(Z2, labels={"a": 1}), "labels {'a': 1} is not a list"),
 ])
 def test_malformed_file_names_the_field(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
@@ -174,6 +179,22 @@ def test_huge_domain_refused_before_any_allocation(tmp_path):
         timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "domain 1000000000" in proc.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the command writes, as after `| head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(clotkit.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clotkit.cli", "hunt", "--bound", "2",
+             "--json"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def _write_bytes(path, data):

@@ -253,6 +253,11 @@ def test_subset_is_group(t2):
     assert not subset_group_verdict(m, {m.identity, c1}).holds
 
 
+def test_subset_group_verdict_rejects_an_index_out_of_range():
+    with pytest.raises(ValueError, match="index 99 out of range for order 3"):
+        subset_group_verdict(cyclic_group(3), [0, 99])
+
+
 def test_is_group(s3, t2):
     assert group_verdict(s3).holds
     assert not group_verdict(t2[0]).holds

@@ -120,16 +120,16 @@ def test_doubling_membership():
 def test_refutation_report():
     report = doubling_refutation_report(5)
     assert report.passed and report.fg_is_identity
-    assert [r.n for r in report.rows] == [1, 2, 3, 4, 5]
-    for row in report.rows:
-        assert row.composite.slope == 2 ** row.n
-        assert row.composite.offset == 2 ** row.n - 1
-        assert row.in_doubling is None and row.ok
+    assert len(report.composites) == 5
+    for n, h in enumerate(report.composites, start=1):
+        assert h.slope == 2 ** n
+        assert h.offset == 2 ** n - 1
+        assert ea_in_doubling_submonoid(h) is None
 
 
 def test_refutation_report_vacuous():
     report = doubling_refutation_report(0)
-    assert report.passed and report.rows == ()
+    assert report.passed and report.composites == ()
 
 
 def test_literal_form():

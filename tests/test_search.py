@@ -5,7 +5,12 @@ import pytest
 
 from clotkit import bicyclic as bc
 from clotkit import monoid, search
-from clotkit.classify import FLAG_ORDER, IMPLICATIONS, classify_pair
+from clotkit.classify import (
+    FLAG_ORDER,
+    IMPLICATIONS,
+    classify_bicyclic,
+    classify_pair,
+)
 from clotkit.monoid import (
     TransformationSpec,
     _closed_sets,
@@ -14,6 +19,7 @@ from clotkit.monoid import (
 )
 from clotkit.relations import Verdict
 from clotkit.search import (
+    HUNT_INSERTION_NMAX,
     HUNT_MODULI_CEILING,
     Corpus,
     UnknownCategory,
@@ -177,6 +183,16 @@ def test_hunt_runs_no_bounded_compatibility_search(corpus, monkeypatch):
     monkeypatch.setattr(bc, "b_internality_search", refuse)
     hunt = open_question_report(corpus, moduli_bound=4)["bicyclic_candidates"]
     assert hunt["candidates"] == [] and hunt["mode"] == "bounded"
+
+
+def test_hunt_insertion_passes_are_the_exact_clots():
+    # the oracle for reading the hunt's passes off classify_bicyclic: the
+    # bounded interleaved-insertion check passes exactly on the clots
+    for sub in _closed_residue_submonoids(5):
+        scan = bc.b_interleaved_insertion_bounded(
+            sub, HUNT_INSERTION_NMAX, 2 * lcm(sub.p, sub.q))
+        assert scan.holds == classify_bicyclic(sub).holds("C0.5"), \
+            sub.describe()
 
 
 # The finite part as it was computed before it took C1 from Dedekind
