@@ -17,9 +17,8 @@ runs is the hunt's interleaved insertion: refutations exact, passes bounded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .relations import Verdict
 
@@ -38,15 +37,19 @@ class NotClosed(BicyclicError):
         super().__init__(f"{left} * {right} = {product} escapes the submonoid")
 
 
-@dataclass(frozen=True, order=True)
-class BicyclicElement:
-    """Normal form y^n x^m; n and m are the exponents of y and x."""
-
+class _Exponents(NamedTuple):
     n: int
     m: int
 
-    def __post_init__(self):
-        if self.n < 0 or self.m < 0:
+
+class BicyclicElement(_Exponents):
+    """Normal form y^n x^m; n and m are the exponents of y and x, and
+    elements compare as the pairs (n, m)."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, m: int):
+        if n < 0 or m < 0:
             raise BicyclicError("exponents must be nonnegative")
 
     def __str__(self) -> str:
@@ -107,8 +110,7 @@ def bword_normal_form(word: str) -> BicyclicElement:
     return BicyclicElement(n, m)
 
 
-@dataclass(frozen=True)
-class FactorizationFamily:
+class FactorizationFamily(NamedTuple):
     """All (X, Y) with X * (y^s x^t) * Y = 1: X = x^m, Y = y^(t+m-s), m >= s."""
 
     s: int
@@ -132,8 +134,7 @@ def one_factorizations(a: BicyclicElement) -> FactorizationFamily:
     return FactorizationFamily(a.n, a.m)
 
 
-@dataclass(frozen=True)
-class ResidueSubmonoid:
+class ResidueSubmonoid(NamedTuple):
     """Elements y^n x^m whose (n mod p, m mod q) lies in a fixed residue set."""
 
     p: int

@@ -24,8 +24,7 @@ stated bound) or "n/a" (not computed for this kind of pair).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .clots import (
     homogeneity,
@@ -81,8 +80,7 @@ CONJUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     pair: str
     flags: dict[str, Verdict]
 
@@ -125,15 +123,14 @@ def _infer(flags: dict[str, Verdict]) -> list[str]:
             if flags[name].holds is None:
                 both = flag_and(flags[a], flags[b])
                 if both.holds is not None:
-                    flags[name] = replace(both,
-                                          note=f"by {name} = {a} ∧ {b}")
+                    flags[name] = both._replace(note=f"by {name} = {a} ∧ {b}")
                     changed = True
         for inner, outer in IMPLICATIONS:
             for src, dst, holds in ((inner, outer, True),
                                     (outer, inner, False)):
                 if flags[src].holds is holds and flags[dst].holds is None:
-                    flags[dst] = replace(flags[src],
-                                         note=f"by {inner} ⊆ {outer}")
+                    flags[dst] = flags[src]._replace(
+                        note=f"by {inner} ⊆ {outer}")
                     changed = True
     return ([f"{i}=>{o}" for i, o in IMPLICATIONS
              if flags[i].holds is True and flags[o].holds is False]
@@ -167,7 +164,7 @@ def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
     }
     _infer(flags)
     # finite flags keep no note: the report gives verdicts and witnesses
-    flags = {n: replace(f, note="") if f.note else f for n, f in flags.items()}
+    flags = {n: f._replace(note="") if f.note else f for n, f in flags.items()}
     return ClassificationReport(pair_name(m, sub), flags)
 
 

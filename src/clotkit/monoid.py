@@ -8,7 +8,6 @@ Element indices are dense integers; labels are cosmetic only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .relations import Verdict, _bits, as_subset
@@ -46,14 +45,48 @@ class OrderCapExceeded(MonoidError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteMonoid:
-    """Immutable Cayley-table monoid; table[i][j] is the index of e_i * e_j."""
+class _Record:
+    """Immutable record for one that cannot be a tuple: __init__ sets the
+    fields named in _fields once, and equality within one class, hashing
+    and repr go by their values."""
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    labels: tuple[str, ...]
-    name: str = "M"
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FiniteMonoid(_Record):
+    """Immutable Cayley-table monoid; table[i][j] is the index of e_i * e_j.
+    A weak reference to one shows when no caller holds it any more."""
+
+    _fields = ("table", "identity", "labels", "name")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int,
+                 labels: tuple[str, ...], name: str = "M"):
+        super().__init__(table, identity, labels, name)
 
     @property
     def order(self) -> int:
@@ -197,25 +230,31 @@ def restrict_to_submonoid(m: FiniteMonoid, subset: Iterable[int],
     return FiniteMonoid(table, pos[m.identity], labels, name or f"{m.name}|sub")
 
 
-@dataclass(frozen=True)
-class SubmonoidMask:
+class SubmonoidMask(_Record):
     """Subset of a monoid certified to contain 1 and be closed under product."""
 
-    parent: FiniteMonoid
-    bits: frozenset[int]
+    __slots__ = _fields = ("parent", "bits")
 
-    def __post_init__(self):
-        m = self.parent
-        for i in self.bits:
-            if not 0 <= i < m.order:
+    def __init__(self, parent: FiniteMonoid, bits: frozenset[int]):
+        for i in bits:
+            if not 0 <= i < parent.order:
                 raise IndexOutOfRange(f"element {i} outside monoid")
-        if m.identity not in self.bits:
+        if parent.identity not in bits:
             raise MonoidError("submonoid must contain the identity")
-        for i in self.bits:
-            for j in self.bits:
-                if m.table[i][j] not in self.bits:
+        table = parent.table
+        for i in bits:
+            for j in bits:
+                if table[i][j] not in bits:
                     raise MonoidError(
-                        f"not closed under product: {i}*{j} = {m.table[i][j]}")
+                        f"not closed under product: {i}*{j} = {table[i][j]}")
+        super().__init__(parent, bits)
+
+    @classmethod
+    def _closed(cls, parent: FiniteMonoid, bits: frozenset) -> SubmonoidMask:
+        """The mask of a set closed by construction, without the |S|² check."""
+        mask = object.__new__(cls)
+        _Record.__init__(mask, parent, bits)
+        return mask
 
     def __iter__(self):
         return iter(sorted(self.bits))
@@ -245,10 +284,12 @@ def _right_orbit(one, generators, times) -> list:
 def submonoid_closure(m: FiniteMonoid, seed: Iterable[int]) -> SubmonoidMask:
     """Smallest submonoid containing the seed: the right orbit of 1."""
     gens = sorted(set(seed))
+    bad = [g for g in gens if not 0 <= g < m.order]
+    if bad:  # refused here, as table[x][g] would wrap a negative index
+        raise IndexOutOfRange(f"element {bad[0]} outside monoid")
     table = m.table
     orbit = _right_orbit(m.identity, gens, lambda x, g: table[x][g])
-    # the seed is joined so that a negative index is refused, not wrapped
-    return SubmonoidMask(m, frozenset(orbit).union(gens))
+    return SubmonoidMask._closed(m, frozenset(orbit))
 
 
 def _join(right: list[list[int]], members: list[int], bits: int,
@@ -340,7 +381,8 @@ def enumerate_submonoids(m: FiniteMonoid,
         raise ValueError("cap must be >= 1")
     right = [[1 << y for y in row] for row in m.table]
     found, truncated = _closed_sets(right, m.identity, cap)
-    masks = [SubmonoidMask(m, frozenset(_bits(bits))) for bits in found]
+    masks = [SubmonoidMask._closed(m, frozenset(_bits(bits)))
+             for bits in found]
     return SubmonoidEnumeration(masks, truncated)
 
 
@@ -376,8 +418,7 @@ def subset_group_verdict(m: FiniteMonoid, subset) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class TransformationSpec:
+class TransformationSpec(NamedTuple):
     """Generating maps of {1..k}, 1-based values, optionally closed."""
 
     domain: int
@@ -433,13 +474,16 @@ def monoid_from_dict(d: dict):
 
     Returns (monoid, named_subsets).
     """
+    if not isinstance(d, dict):
+        raise MonoidError("document is not a JSON object")
     if "table" in d:
         name, labels = d.get("name", "M"), d.get("labels")
         if not isinstance(name, str):
             raise MonoidError(f"name {name!r} is not a string")
         if "labels" in d and not isinstance(labels, list):
             raise MonoidError(f"labels {labels!r} is not a list")
-        m = validate_monoid(d["table"], d["identity"], labels, name)
+        # a missing identity reads as None, which validate_monoid names
+        m = validate_monoid(d["table"], d.get("identity"), labels, name)
         order = d.get("order", m.order)
         if not _is_index(order) or order != m.order:
             raise MonoidError(f"declared order {order!r} does not match table")
@@ -459,8 +503,15 @@ def monoid_from_dict(d: dict):
             subs[name] = frozenset(indices)
         return m, subs
     if "domain" in d:
-        spec = TransformationSpec(d["domain"],
-                                  tuple(tuple(f) for f in d["generators"]),
+        for key in ("name", "labels", "submonoids"):
+            if key in d:
+                raise MonoidError(f"a transformation document takes no "
+                                  f"{key!r}: only domain, generators, close")
+        maps = d.get("generators")
+        if not (isinstance(maps, list)
+                and all(isinstance(f, list) for f in maps)):
+            raise MonoidError(f"generators {maps!r} is not a list of maps")
+        spec = TransformationSpec(d["domain"], tuple(map(tuple, maps)),
                                   d.get("close", True))
         return monoid_from_transformations(spec), {}
     raise MonoidError("document has neither 'table' nor 'domain'")

@@ -11,12 +11,10 @@ is 2^n x + 2^n - 1, which is not a power of the doubling map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class EventuallyAffineMap:
+class EventuallyAffineMap(NamedTuple):
     """x -> exceptions[x-1] for x < threshold, else slope*x + offset.
 
     Maps the positive naturals into themselves; construct via ea() which
@@ -103,8 +101,7 @@ def ea_to_literal(h: EventuallyAffineMap) -> str:
     return f"affine({h.slope},{h.offset},{h.threshold}){{{inner}}}"
 
 
-@dataclass(frozen=True)
-class DoublingRefutationReport:
+class DoublingRefutationReport(NamedTuple):
     fg_is_identity: bool
     composites: tuple[EventuallyAffineMap, ...]  # f*(2^n * -)*g at n - 1
     passed: bool

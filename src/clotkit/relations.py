@@ -18,8 +18,7 @@ the table, and a result lives as long as its caller keeps it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .monoid import FiniteMonoid
@@ -28,23 +27,27 @@ if TYPE_CHECKING:
 MODES = ("exact", "bounded", "n/a")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Answer to one condition on a pair, with how it was reached.
-
-    mode is "exact" (decided), "bounded" (a pass confirmed only up to
-    `bound`) or "n/a" (not computed; then holds is None).  A failure
-    carries a witness: a dict whose values are element indices, symbolic
-    elements, or lists of them.  note says how the answer was derived.
-    """
-
+class _VerdictFields(NamedTuple):
     holds: Optional[bool]
     mode: str = "exact"
     witness: Optional[dict] = None
     note: str = ""
     bound: Optional[int] = None
 
-    def __post_init__(self):
+
+class Verdict(_VerdictFields):
+    """Answer to one condition on a pair, with how it was reached.
+
+    mode is "exact" (decided), "bounded" (a pass confirmed only up to
+    `bound`) or "n/a" (not computed; then holds is None).  A failure
+    carries a witness: a dict whose values are element indices, symbolic
+    elements, or lists of them.  note says how the answer was derived.
+    v._replace(note=...) gives a copy with a new note.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *_args, **_kwargs):
         if (self.mode not in MODES
                 or (self.holds is None) != (self.mode == "n/a")):
             raise ValueError(f"verdict {self.holds!r} with mode {self.mode!r}")
@@ -56,7 +59,8 @@ class Verdict:
 def witness_json(witness: Optional[dict], labeler=None) -> Optional[dict]:
     """Wire form of a witness: bools stay, ints become labels through the
     labeler when one is given and stay numbers otherwise, lists and tuples
-    recurse, anything else becomes its str."""
+    recurse, anything else becomes its str: a record such as a
+    BicyclicElement too, though it is a tuple."""
     if witness is None:
         return None
     return {k: _json_value(v, labeler) for k, v in witness.items()}
@@ -67,13 +71,12 @@ def _json_value(value, labeler):
         return value
     if isinstance(value, int):
         return labeler(value) if labeler else value
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         return [_json_value(v, labeler) for v in value]
     return str(value)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """Dense relation on a finite monoid: bit b of rows[a] means a S b."""
 
     parent: "FiniteMonoid"

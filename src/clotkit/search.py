@@ -3,7 +3,6 @@ for a clot whose reflexive syntactic relation fails compatibility."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple, Optional
@@ -19,6 +18,7 @@ from .classify import (
 from .clots import is_clot
 from .monoid import (
     FiniteMonoid,
+    _Record,
     cyclic_group,
     direct_product,
     enumerate_submonoids,
@@ -42,9 +42,11 @@ class CorpusPair(NamedTuple):
     mask: frozenset
 
 
-@dataclass(frozen=True)
-class Corpus:
-    pairs: tuple[CorpusPair, ...]
+class Corpus(_Record):
+    """Corpus(pairs), a tuple of CorpusPairs; no __slots__, as
+    cached_property keeps the reports in the instance's __dict__."""
+
+    _fields = ("pairs",)
 
     def __iter__(self):
         return iter(self.pairs)

@@ -1,7 +1,6 @@
 import gc
 import json
 import weakref
-from dataclasses import replace
 from itertools import product
 
 from clotkit.bicyclic import (
@@ -29,7 +28,11 @@ from clotkit.classify import (
     report_json,
 )
 from clotkit.clots import is_clot
-from clotkit.monoid import full_transformation_monoid, subset_group_verdict
+from clotkit.monoid import (
+    FiniteMonoid,
+    full_transformation_monoid,
+    subset_group_verdict,
+)
 from clotkit.search import _closed_residue_submonoids
 from clotkit.relations import (
     Verdict,
@@ -153,7 +156,7 @@ def test_refuted_c1_refutes_the_chain_above_it():
     for inner, outer in (("C2", "C1"), ("C3", "C2"), ("C4", "C3")):
         assert flags[inner].note == f"by {inner} ⊆ {outer}"
     # C5 = C4 ∧ group(M) takes the failing operand and names itself
-    assert flags["C5"] == replace(flags["C4"], note="by C5 = C4 ∧ group(M)")
+    assert flags["C5"] == flags["C4"]._replace(note="by C5 = C4 ∧ group(M)")
     for i in range(1, 6):
         assert flags[f"C({i},0)"].holds is False
         assert flags[f"C({i},0)"].witness == witness
@@ -346,7 +349,7 @@ def test_bicyclic_diagonal_report_is_exact():
         assert "φ_2" in f[name].note, name
     # the hierarchy settles the rest, through C(1,0) ⊆ C0.5 and normal ⊆ D
     assert f["C0.5"] == Verdict(True, note="by C(1,0) ⊆ C0.5")
-    assert f["D"] == replace(f["normal"], note="by normal ⊆ D")
+    assert f["D"] == f["normal"]._replace(note="by normal ⊆ D")
     assert f["C(2,0)"] == Verdict(True, note="by C(2,0) = C2 ∧ C0")
     assert f["Dh"].note == "by Dh = Dr ∧ group(M)"
     assert check_consistency(report) == []
@@ -375,7 +378,7 @@ def test_finite_pairs_make_upper_chain_collapse(corpus):
 def test_no_state_outlives_a_call():
     # renamed so that it equals no monoid another test has used
     m, named = full_transformation_monoid(2)
-    m = replace(m, name="T2, dropped after use")
+    m = FiniteMonoid(m.table, m.identity, m.labels, "T2, dropped after use")
     sub = named["bijections"]
     classify_pair(m, sub)
     for build in (syntactic_congruence, syntactic_preorder,

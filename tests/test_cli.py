@@ -152,6 +152,16 @@ Z2 = {"table": [[0, 1], [1, 0]], "identity": 0}
     (dict(Z2, name=None), "name None is not a string"),
     (dict(Z2, labels="ab"), "labels 'ab' is not a list"),
     (dict(Z2, labels={"a": 1}), "labels {'a': 1} is not a list"),
+    # a missing or mistyped key is named, and so is one the format ignores
+    ({"domain": 2, "generators": 5}, "generators 5 is not a list of maps"),
+    ({"domain": 2, "generators": [1]}, "generators [1] is not a list"),
+    ({"domain": 2}, "generators None is not a list of maps"),
+    ({"table": [[0]]}, "identity None is not an integer"),
+    ({"domain": 2, "generators": [], "name": "T"}, "takes no 'name'"),
+    ({"domain": 2, "generators": [], "labels": ["a"]}, "takes no 'labels'"),
+    ({"domain": 2, "generators": [], "submonoids": {"x": [0]}},
+     "takes no 'submonoids'"),
+    ("table", "document is not a JSON object"),
 ])
 def test_malformed_file_names_the_field(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"

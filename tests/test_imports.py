@@ -94,3 +94,22 @@ except AttributeError as exc:
     print(json.dumps(str(exc)))
 """)
     assert message == "module 'clotkit' has no attribute 'no_such_name'"
+
+
+def test_no_path_loads_dataclasses_or_inspect():
+    # dataclasses, with the inspect, ast, dis and tokenize it pulls in, was
+    # about 10 ms of every start; the records are tuples or slot classes
+    heavy = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
+    finite = _run(f"""
+import json, sys
+import clotkit
+t2, named = clotkit.full_transformation_monoid(2)
+clotkit.classify_pair(t2, named["bijections"])
+print(json.dumps({heavy}))
+""")
+    cli = _run(f"""
+import json, sys
+import clotkit.cli
+print(json.dumps({heavy}))
+""")
+    assert finite == cli == []

@@ -6,6 +6,7 @@ import pytest
 from clotkit import monoid as monoid_module
 from clotkit.monoid import (
     BadIdentity,
+    FiniteMonoid,
     IndexOutOfRange,
     MonoidError,
     NotAssociative,
@@ -229,6 +230,33 @@ def test_submonoid_mask_validation(t2):
         SubmonoidMask(m, frozenset({sigma}))  # identity missing
     with pytest.raises(MonoidError):
         SubmonoidMask(m, frozenset({m.identity, m.labels.index("11"), sigma}))
+
+
+def test_masks_closed_by_construction_pass_the_full_check(t3, corpus):
+    # enumerate_submonoids and submonoid_closure skip SubmonoidMask's |S|²
+    # check; the constructor runs it here on every set they build
+    m, _ = t3
+    for mask in enumerate_submonoids(m).masks:
+        assert SubmonoidMask(m, mask.bits) == mask
+    for pair in corpus:
+        assert SubmonoidMask(pair.monoid, pair.mask) == \
+            submonoid_closure(pair.monoid, pair.mask), pair.name
+
+
+def test_slot_records_are_immutable_values(t2):
+    m, named = t2
+    twin = FiniteMonoid(m.table, m.identity, m.labels, m.name)
+    assert twin == m and hash(twin) == hash(m) and twin is not m
+    assert twin != FiniteMonoid(m.table, m.identity, m.labels, "other")
+    mask = SubmonoidMask(m, named["bijections"])
+    assert repr(mask) == f"SubmonoidMask(parent={m!r}, bits={mask.bits!r})"
+    assert repr(m) == (f"FiniteMonoid(table={m.table!r}, identity="
+                       f"{m.identity!r}, labels={m.labels!r}, name='T2')")
+    for record, field in ((m, "name"), (mask, "bits")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
 
 
 def test_dedekind_finiteness_on_small_monoids(t2, t3, s3, z4):
