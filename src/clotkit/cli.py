@@ -1,5 +1,8 @@
 """Command-line interface.
 
+Each command builds one document and the text lines rendered from it;
+main prints the document as JSON under --json, else the lines.
+
 Exit codes: 0 success, 2 invalid input, 3 internal error.  The
 paper-examples subcommand exits 0 only if all three bundled worked
 examples reproduce.  A reader that closes stdout early, as `| head` does,
@@ -79,18 +82,13 @@ class InputError(Exception):
     pass
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
 def _load(path: str):
     try:
         return load_monoid(path)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     # ValueError: undecodable bytes or bad JSON; RecursionError: deep nesting
-    except (MonoidError, ValueError, RecursionError, KeyError,
-            TypeError) as exc:
+    except (MonoidError, ValueError, RecursionError) as exc:
         raise InputError(f"invalid monoid file {path}: {exc}") from exc
 
 
@@ -119,34 +117,16 @@ def _mask(m: FiniteMonoid, bits: frozenset) -> SubmonoidMask:
         raise InputError(f"not a submonoid: {exc}") from exc
 
 
-def _print_report(report, m: FiniteMonoid) -> None:
-    print(f"pair {report.pair}")
-    for name, entry in report_json(report, m)["flags"].items():
-        if entry["holds"] is None:
-            cell = "n/a"
-        else:
-            cell = "✓" if entry["holds"] else "✗"
-            if entry["mode"] == "bounded":
-                cell += " (bounded)"
-        line = f"  {name:<8}{cell}"
-        if "witness" in entry:
-            line += "   witness " + ", ".join(
-                f"{k}={v}" for k, v in entry["witness"].items())
-        print(line)
-    bad = check_consistency(report)
-    print("consistency: " + ("ok" if not bad else "VIOLATED " + ", ".join(bad)))
-
-
-def cmd_validate(args) -> int:
+def cmd_validate(args):
+    # validate has no --json, so it builds no document
     m, named = _load(args.file)
-    print(f"ok: monoid '{m.name}' of order {m.order}, "
-          f"identity {m.labels[m.identity]}")
-    for name, bits in named.items():
-        print(f"  subset {name}: {sorted(bits)}")
-    return OK
+    lines = [f"ok: monoid '{m.name}' of order {m.order}, "
+             f"identity {m.labels[m.identity]}"]
+    return None, lines + [f"  subset {name}: {sorted(bits)}"
+                          for name, bits in named.items()]
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     m, named = _load(args.file)
     if args.all_submonoids:
         enum = enumerate_submonoids(m, cap=args.cap)
@@ -158,45 +138,44 @@ def cmd_classify(args) -> int:
         masks = [_mask(m, _resolve_subset(m, named, args.submonoid)).bits]
     else:
         raise InputError("need --submonoid or --all-submonoids")
-    reports = [classify_pair(m, bits) for bits in masks]
-    if args.json:
-        _emit_json([report_json(r, m) for r in reports]
-                   if len(reports) > 1 else report_json(reports[0], m))
-    else:
-        for r in reports:
-            _print_report(r, m)
-    return OK
+    docs, lines = [], []
+    for bits in masks:
+        report = classify_pair(m, bits)
+        doc = report_json(report, m)
+        docs.append(doc)
+        lines.append(f"pair {doc['pair']}")
+        for name, entry in doc["flags"].items():
+            cell = ("n/a" if entry["holds"] is None
+                    else "✓" if entry["holds"] else "✗")
+            if "witness" in entry:
+                cell += "   witness " + ", ".join(
+                    f"{k}={v}" for k, v in entry["witness"].items())
+            lines.append(f"  {name:<8}{cell}")
+        bad = check_consistency(report)
+        lines.append("consistency: "
+                     + ("ok" if not bad else "VIOLATED " + ", ".join(bad)))
+    return (docs if len(docs) > 1 else docs[0]), lines
 
 
-def _relation_json(m: FiniteMonoid, rel, zc) -> dict:
-    return {"kind": rel.kind, "n": m.order, "rows": rel.row_strings(),
-            "zero_class": sorted(m.labels[i] for i in zc)}
-
-
-def cmd_relation(args) -> int:
+def cmd_relation(args):
+    """relation --kind K, or closure: the generated closure, whose document
+    also says whether the pair is a clot: its zero class is the submonoid."""
     m, named = _load(args.file)
     subset = _resolve_subset(m, named, args.submonoid)
-    rel = RELATION_BUILDERS[args.kind](m, subset)
-    if args.json:
-        _emit_json(_relation_json(m, rel, zero_class(rel)))
+    if args.command == "closure":
+        mask = _mask(m, subset)
+        rel = internal_reflexive_closure(m, mask)
     else:
-        print(rel.dump())
-    return OK
-
-
-def cmd_closure(args) -> int:
-    m, named = _load(args.file)
-    mask = _mask(m, _resolve_subset(m, named, args.submonoid))
-    rel = internal_reflexive_closure(m, mask)
+        rel = RELATION_BUILDERS[args.kind](m, subset)
     zc = zero_class(rel)
-    is_clot = zc == mask.bits
-    if args.json:
-        _emit_json({**_relation_json(m, rel, zc), "clot": is_clot})
-    else:
-        print(rel.dump())
-        print("zero-class: " + ", ".join(sorted(m.labels[i] for i in zc)))
-        print(f"clot: {'yes' if is_clot else 'no'}")
-    return OK
+    doc = {"kind": rel.kind, "n": m.order, "rows": rel.row_strings(),
+           "zero_class": sorted(m.labels[i] for i in zc)}
+    lines = [f"relation {doc['kind']} n={doc['n']}", *doc["rows"]]
+    if args.command == "closure":
+        doc["clot"] = zc == mask.bits
+        lines += ["zero-class: " + ", ".join(doc["zero_class"]),
+                  f"clot: {'yes' if doc['clot'] else 'no'}"]
+    return doc, lines
 
 
 def _parse_residues(text: str) -> set[tuple[int, int]]:
@@ -215,7 +194,7 @@ def _parse_residues(text: str) -> set[tuple[int, int]]:
     return residues
 
 
-def cmd_bicyclic(args) -> int:
+def cmd_bicyclic(args):
     try:
         p_str, q_str = args.mod.split(",")
         p, q = int(p_str), int(q_str)
@@ -251,24 +230,21 @@ def cmd_bicyclic(args) -> int:
             out["normal_form"] = str(bc.bword_normal_form(args.normal_form))
         except bc.BicyclicError as exc:
             raise InputError(str(exc)) from exc
-    if args.json:
-        _emit_json(out)
-        return OK
-    print(f"submonoid {out['submonoid']}")
+    lines = [f"submonoid {out['submonoid']}"]
     if "check_rm" in out:
         r = out["check_rm"]
-        print("true" if r["related"] else "false")
+        lines.append("true" if r["related"] else "false")
         if r["witness"]:
-            print(RM_WITNESS.format(**r["witness"]))
+            lines.append(RM_WITNESS.format(**r["witness"]))
     for key, _, _, title, template in BICYCLIC_SECTIONS:
         if key in out:
             r = out[key]
-            print(f"{title}: {'holds' if r['holds'] else 'fails'}")
+            lines.append(f"{title}: {'holds' if r['holds'] else 'fails'}")
             if r["witness"]:
-                print("  " + template.format(**r["witness"]))
+                lines.append("  " + template.format(**r["witness"]))
     if "normal_form" in out:
-        print(f"normal form: {out['normal_form']}")
-    return OK
+        lines.append(f"normal form: {out['normal_form']}")
+    return out, lines
 
 
 def _example_bicyclic() -> tuple[list[str], bool]:
@@ -329,47 +305,27 @@ EXAMPLES = (
 )
 
 
-def _run_examples() -> tuple[list[str], bool]:
-    lines = []
-    all_ok = True
+def cmd_examples(args):
+    doc = {"lines": [], "passed": True}
     for title, run in EXAMPLES:
         detail, ok = run()
-        lines.append(f"{title}: {'PASS' if ok else 'FAIL'}")
-        lines.extend(detail)
-        all_ok &= ok
-    return lines, all_ok
+        doc["lines"] += [f"{title}: {'PASS' if ok else 'FAIL'}", *detail]
+        doc["passed"] &= ok
+    return doc, doc["lines"]
 
 
-def cmd_examples(args) -> int:
-    lines, ok = _run_examples()
-    if args.json:
-        _emit_json({"lines": lines, "passed": ok})
-    else:
-        for line in lines:
-            print(line)
-    if not ok:
-        print("example reproduction failed", file=sys.stderr)
-        return INTERNAL
-    return OK
-
-
-def cmd_hunt(args) -> int:
+def cmd_hunt(args):
     report = open_question_report(moduli_bound=args.bound)
-    if args.json:
-        _emit_json(report)
-        return OK
-    fin = report["finite_vacuity"]
-    print(f"finite vacuity: {fin['pairs_checked']} pairs, "
-          f"{fin['clot_pairs']} clots, {len(fin['violations'])} violations")
-    print(f"  {fin['note']}")
-    bcand = report["bicyclic_candidates"]
-    print(f"bicyclic hunt (moduli <= {bcand['moduli_bound']}, bounded): "
-          f"{bcand['submonoids_checked']} submonoids, "
-          f"{len(bcand['candidates'])} candidates")
-    for c in bcand["candidates"]:
-        print(f"  candidate: {c['submonoid']}")
-    print(f"  {bcand['note']}")
-    return OK
+    fin, bcand = report["finite_vacuity"], report["bicyclic_candidates"]
+    return report, [
+        f"finite vacuity: {fin['pairs_checked']} pairs, "
+        f"{fin['clot_pairs']} clots, {len(fin['violations'])} violations",
+        f"  {fin['note']}",
+        f"bicyclic hunt (moduli <= {bcand['moduli_bound']}, "
+        f"{bcand['mode']}): {bcand['submonoids_checked']} submonoids, "
+        f"{len(bcand['candidates'])} candidates",
+        *(f"  candidate: {c['submonoid']}" for c in bcand["candidates"]),
+        f"  {bcand['note']}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a monoid file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, json=False)
 
     p = sub.add_parser("classify", help="classify (monoid, submonoid) pairs")
     p.add_argument("file")
@@ -405,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--submonoid", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_closure)
+    p.set_defaults(func=cmd_relation)
 
     p = sub.add_parser("bicyclic", help="bicyclic residue submonoid checks")
     p.add_argument("--mod", required=True, metavar="P,Q")
@@ -452,10 +408,15 @@ def main(argv=None) -> int:
                   f"{ceiling} of {args.command}", file=sys.stderr)
             return BAD_INPUT
     try:
-        code = args.func(args)
+        doc, lines = args.func(args)
+        print(json.dumps(doc, indent=2, sort_keys=True) if args.json
+              else "\n".join(lines))
         # a closed pipe shows up here, while the try can still catch it
         sys.stdout.flush()
-        return code
+        if args.func is cmd_examples and not doc["passed"]:
+            print("example reproduction failed", file=sys.stderr)
+            return INTERNAL
+        return OK
     except BrokenPipeError:
         # the reader is gone: send what is left, flushed at exit, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

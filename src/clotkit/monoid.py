@@ -482,8 +482,14 @@ def monoid_from_dict(d: dict):
             raise MonoidError(f"name {name!r} is not a string")
         if "labels" in d and not isinstance(labels, list):
             raise MonoidError(f"labels {labels!r} is not a list")
+        table = d["table"]
+        if not isinstance(table, list):
+            raise MonoidError("table is not a list of rows")
+        bad = [i for i, row in enumerate(table) if not isinstance(row, list)]
+        if bad:
+            raise MonoidError(f"table row {bad[0]} is not a list of indices")
         # a missing identity reads as None, which validate_monoid names
-        m = validate_monoid(d["table"], d.get("identity"), labels, name)
+        m = validate_monoid(table, d.get("identity"), labels, name)
         order = d.get("order", m.order)
         if not _is_index(order) or order != m.order:
             raise MonoidError(f"declared order {order!r} does not match table")

@@ -109,6 +109,20 @@ def test_relation_json(t2_file, capsys):
     assert sorted(parsed["zero_class"]) == ["12", "21"]
 
 
+def test_closure_of_a_non_clot(t2_file, capsys):
+    # conjugating the constant 11 by the swap 21 gives 22, outside {11, 12}
+    code, out, _ = run(capsys, "closure", t2_file, "--submonoid", "0,1")
+    assert code == 0
+    assert out.splitlines() == ["relation generated-closure n=4", "1001",
+                                "1101", "1011", "1001",
+                                "zero-class: 11, 12, 22", "clot: no"]
+    code, out, _ = run(capsys, "closure", t2_file, "--submonoid", "0,1",
+                       "--json")
+    parsed = json.loads(out)
+    assert code == 0 and parsed["clot"] is False
+    assert parsed["zero_class"] == ["11", "12", "22"]
+
+
 def test_relation_index_out_of_range(t2_file, capsys):
     code, out, err = run(capsys, "relation", t2_file,
                          "--submonoid", "9", "--kind", "refl")
@@ -162,6 +176,11 @@ Z2 = {"table": [[0, 1], [1, 0]], "identity": 0}
     ({"domain": 2, "generators": [], "submonoids": {"x": [0]}},
      "takes no 'submonoids'"),
     ("table", "document is not a JSON object"),
+    # a table is a list of rows, each a list of element indices
+    ({"table": 5, "identity": 0}, "table is not a list of rows"),
+    ({"table": [0]}, "table row 0 is not a list of indices"),
+    ({"table": {"a": [0]}, "identity": 0}, "table is not a list of rows"),
+    ({"table": ["0"], "identity": 0}, "table row 0 is not a list of indices"),
 ])
 def test_malformed_file_names_the_field(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
