@@ -58,12 +58,12 @@ RESIDUE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 RM_WITNESS = "witness ({x}, {y}) product {product}"
 C1_WITNESS = ("pairs ({pair1[0]},{pair1[1]}) and ({pair2[0]},{pair2[1]}) "
               "-> product ({product[0]},{product[1]}) [{order}]")
-# bicyclic checks: (JSON key, classify_bicyclic flag, option, title,
-# witness text); C0 is unit insertion: 1 R b iff every x^k b y^k is in M
+# bicyclic sections: (JSON key, classify_bicyclic flag, title, witness
+# text); C0 is unit insertion: 1 R b iff every x^k b y^k is in M
 BICYCLIC_SECTIONS = (
-    ("unit_insertion", "C0", "condition_r", "unit insertion",
+    ("unit_insertion", "C0", "unit insertion",
      "witness u={u} k={k} product {product}"),
-    ("internality", "C1", "internality", "compatibility", C1_WITNESS),
+    ("internality", "C1", "compatibility", C1_WITNESS),
 )
 
 
@@ -221,10 +221,9 @@ def cmd_bicyclic(args):
             "witness": witness_json(verdict.witness),
         }
     flags = classify_bicyclic(sub).flags
-    for key, flag, option, _, _ in BICYCLIC_SECTIONS:
-        if getattr(args, option):
-            out[key] = {"holds": flags[flag].holds,
-                        "witness": witness_json(flags[flag].witness)}
+    for key, flag, _, _ in BICYCLIC_SECTIONS:
+        out[key] = {"holds": flags[flag].holds,
+                    "witness": witness_json(flags[flag].witness)}
     if args.normal_form:
         try:
             out["normal_form"] = str(bc.bword_normal_form(args.normal_form))
@@ -236,12 +235,11 @@ def cmd_bicyclic(args):
         lines.append("true" if r["related"] else "false")
         if r["witness"]:
             lines.append(RM_WITNESS.format(**r["witness"]))
-    for key, _, _, title, template in BICYCLIC_SECTIONS:
-        if key in out:
-            r = out[key]
-            lines.append(f"{title}: {'holds' if r['holds'] else 'fails'}")
-            if r["witness"]:
-                lines.append("  " + template.format(**r["witness"]))
+    for key, _, title, template in BICYCLIC_SECTIONS:
+        r = out[key]
+        lines.append(f"{title}: {'holds' if r['holds'] else 'fails'}")
+        if r["witness"]:
+            lines.append("  " + template.format(**r["witness"]))
     if "normal_form" in out:
         lines.append(f"normal form: {out['normal_form']}")
     return out, lines
@@ -363,16 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_relation)
 
-    p = sub.add_parser("bicyclic", help="bicyclic residue submonoid checks")
+    p = sub.add_parser("bicyclic", help="C0 and C1 of a residue submonoid")
     p.add_argument("--mod", required=True, metavar="P,Q")
     p.add_argument("--residues", required=True)
     p.add_argument("--check-rm", metavar="A,B")
-    p.add_argument("--condition-r", action="store_true",
-                   help="unit insertion: x^k u y^k in M for every u in M "
-                        "(C0), decided exactly")
-    p.add_argument("--internality", action="store_true",
-                   help="compatibility of the reflexive syntactic relation "
-                        "(C1), decided exactly")
     p.add_argument("--normal-form", metavar="WORD",
                    help="reduce a word over x,y")
     p.add_argument("--json", action="store_true")

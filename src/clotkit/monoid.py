@@ -7,13 +7,15 @@ Element indices are dense integers; labels are cosmetic only.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple, Optional
 
 from .relations import Verdict, _bits, as_subset
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_ENUM_CAP = 10_000
+# longest label of a transformation; a longer image word keeps its first
+# characters and ends in "#<index>", which no image word contains
+LABEL_LIMIT = 32
 
 
 def _is_index(v) -> bool:
@@ -170,7 +172,8 @@ def _transformation_table(k: int, generators: list, compose,
                           name: str) -> tuple[FiniteMonoid, list]:
     """The monoid of maps of {1..k} generated by `generators` under
     compose(f, g) = f∘g, indexed in lexicographic order of the maps and
-    labelled by image words, comma-separated from 10 points on; and the maps.
+    labelled by image words, comma-separated from 10 points on and cut to
+    LABEL_LIMIT characters; and the maps.
 
     The right orbit of the identity map reaches every other element b as
     b'·g, with b' reached before it and g a generator.  So column b of the
@@ -192,7 +195,10 @@ def _transformation_table(k: int, generators: list, compose,
                 columns[y] = [right[c][g] for c in columns[x]]
                 reached.append(y)
     table = tuple(zip(*columns))
-    labels = tuple(("," if k >= 10 else "").join(map(str, f)) for f in maps)
+    words = (("," if k >= 10 else "").join(map(str, f)) for f in maps)
+    labels = tuple(w if len(w) <= LABEL_LIMIT
+                   else w[:LABEL_LIMIT - len(str(i)) - 1] + f"#{i}"
+                   for i, w in enumerate(words))
     return FiniteMonoid(table, e, labels, name), maps
 
 
@@ -524,5 +530,8 @@ def monoid_from_dict(d: dict):
 
 
 def load_monoid(path: str):
+    # imported here, so that classifying a pair never loads json
+    import json
+
     with open(path, encoding="utf-8") as fh:
         return monoid_from_dict(json.load(fh))

@@ -98,10 +98,6 @@ class Relation(NamedTuple):
         n = len(self.rows)
         return [format(r, f"0{n}b")[::-1] for r in self.rows]
 
-    def dump(self) -> str:
-        return "\n".join([f"relation {self.kind} n={len(self.rows)}",
-                          *self.row_strings()])
-
 
 def _bits(x: int):
     while x:

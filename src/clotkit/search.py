@@ -117,20 +117,6 @@ def strictness_search(corpus: Corpus, outer: str,
     return None
 
 
-def infinite_strictness_evidence(nmax: int = 5) -> dict:
-    """Computational evidence behind the inclusions that no finite pair can
-    separate: the bicyclic parity pair escapes C1 and C0, and the doubling
-    powers escape the zero-class of their reflexive syntactic relation."""
-    parity = classify_bicyclic(bc.parity_submonoid())
-    from .natfuncs import doubling_refutation_report
-    doubling = doubling_refutation_report(nmax)
-    return {
-        "bicyclic_parity_not_C1": not parity.holds("C1"),
-        "bicyclic_parity_not_C0": not parity.holds("C0"),
-        "doubling_powers_escape_zero_class": doubling.passed,
-    }
-
-
 def _closed_residue_submonoids(moduli_bound: int):
     """All residue submonoids with moduli <= bound: the diagonal families
     Δ_p(S) = {y^n x^m : n ≡ m (mod p), n mod p ∈ S} with 0 ∈ S ⊆ Z_p, which

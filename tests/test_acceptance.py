@@ -7,7 +7,11 @@ import time
 from itertools import product as iter_product
 
 from clotkit import bicyclic as bc
-from clotkit.classify import check_consistency, classify_pair
+from clotkit.classify import (
+    check_consistency,
+    classify_bicyclic,
+    classify_pair,
+)
 from clotkit.clots import homogeneity, is_clot, is_normal_submonoid
 from clotkit.monoid import full_transformation_monoid, group_verdict
 from clotkit.natfuncs import (
@@ -24,7 +28,6 @@ from clotkit.relations import (
     zero_class,
 )
 from clotkit.search import (
-    infinite_strictness_evidence,
     open_question_report,
     strictness_search,
 )
@@ -195,10 +198,11 @@ def test_criterion_7_hierarchy_suite(corpus):
     # inclusions that only infinite monoids separate
     assert strictness_search(corpus, "C", "C1") is None
     assert strictness_search(corpus, "C1", "C2") is None
-    evidence = infinite_strictness_evidence()
-    assert evidence["bicyclic_parity_not_C1"]
-    assert evidence["bicyclic_parity_not_C0"]
-    assert evidence["doubling_powers_escape_zero_class"]
+    # the parity submonoid of B escapes C1 and C0, and the doubling powers
+    # escape the zero-class of their reflexive syntactic relation
+    parity = classify_bicyclic(bc.parity_submonoid())
+    assert parity.holds("C1") is False and parity.holds("C0") is False
+    assert doubling_refutation_report(5).passed
     print(f"ACCEPTANCE 7 hierarchy consistency and strictness: PASS")
 
 

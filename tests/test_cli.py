@@ -322,17 +322,26 @@ def test_bicyclic_json(capsys):
 
 
 def test_bicyclic_condition_and_internality(capsys):
+    # both exact sections are printed on every call, with no switch
     code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
-                       "(0,0)", "--condition-r", "--internality")
+                       "(0,0)")
     assert code == 0
     assert "unit insertion: fails" in out
     assert "compatibility: fails" in out
 
 
+@pytest.mark.parametrize("switch", ["--condition-r", "--internality"])
+def test_bicyclic_section_switches_rejected(capsys, switch):
+    with pytest.raises(SystemExit) as exc:
+        main(["bicyclic", "--mod", "2,2", "--residues", "(0,0)", switch])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {switch}" in capsys.readouterr().err
+
+
 def test_bicyclic_diagonal_holds_exactly(capsys):
     # D_2 = {y^n x^m : n ≡ m mod 2}: both conditions hold, with no bound
     code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
-                       "(0,0),(1,1)", "--condition-r", "--internality")
+                       "(0,0),(1,1)")
     assert code == 0
     assert out == ("submonoid mod(2,2) residues {(0,0),(1,1)}\n"
                    "unit insertion: holds\n"
@@ -343,8 +352,7 @@ def test_bicyclic_sections_are_the_report_flags(capsys):
     for sub in _closed_residue_submonoids(6):
         residues = ",".join(f"({r},{s})" for r, s in sorted(sub.residues))
         code, out, _ = run(capsys, "bicyclic", "--mod", f"{sub.p},{sub.q}",
-                           "--residues", residues, "--condition-r",
-                           "--internality", "--json")
+                           "--residues", residues, "--json")
         assert code == 0
         parsed = json.loads(out)
         flags = classify_bicyclic(sub).flags
@@ -357,24 +365,21 @@ def test_bicyclic_sections_are_the_report_flags(capsys):
 
 def test_bicyclic_whole_monoid_internality_holds(capsys):
     code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
-                       "(0,0)", "--condition-r", "--internality")
+                       "(0,0)", "--json")
     assert code == 0
-    assert "unit insertion: holds\n" in out
-    assert "compatibility: holds\n" in out
-    code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
-                       "(0,0)", "--internality", "--json")
     assert json.loads(out)["internality"] == {"holds": True, "witness": None}
 
 
 def test_bicyclic_whole_monoid_unit_insertion_exact(capsys):
     # every x^k * u * y^k lies in the whole monoid: an exact pass, no bound
     code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
-                       "(0,0)", "--condition-r")
+                       "(0,0)")
     assert code == 0
     assert out == ("submonoid mod(1,1) residues {(0,0)}\n"
-                   "unit insertion: holds\n")
+                   "unit insertion: holds\n"
+                   "compatibility: holds\n")
     code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
-                       "(0,0)", "--condition-r", "--json")
+                       "(0,0)", "--json")
     assert code == 0
     assert json.loads(out)["unit_insertion"] == {
         "holds": True, "witness": None}
@@ -419,7 +424,9 @@ def test_bicyclic_malformed_residue_rejected(capsys):
     code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
                        " { (0, 0) , (1,1) } ")
     assert code == 0
-    assert out == "submonoid mod(2,2) residues {(0,0),(1,1)}\n"
+    assert out == ("submonoid mod(2,2) residues {(0,0),(1,1)}\n"
+                   "unit insertion: holds\n"
+                   "compatibility: holds\n")
 
 
 def test_bicyclic_mod_above_ceiling_rejected(capsys, monkeypatch):
@@ -455,7 +462,7 @@ def test_bicyclic_bound_above_ceiling_rejected(capsys, monkeypatch):
     for bound in ("3", "0", "100000000"):
         with pytest.raises(SystemExit) as exc:
             main(["bicyclic", "--mod", "2,2", "--residues", "(0,0)",
-                  "--internality", "--bound", bound])
+                  "--bound", bound])
         assert exc.value.code == 2
         assert "unrecognized arguments: --bound" in capsys.readouterr().err
 

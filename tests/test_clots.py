@@ -7,7 +7,11 @@ from clotkit.clots import (
     is_positive_cone,
     unit_transfer_condition,
 )
-from clotkit.monoid import full_transformation_monoid, subset_group_verdict
+from clotkit.monoid import (
+    FiniteMonoid,
+    full_transformation_monoid,
+    subset_group_verdict,
+)
 from clotkit.relations import (
     internal_reflexive_closure,
     is_internal,
@@ -252,3 +256,49 @@ def test_witness_json_labels(s3):
     mixed = {"flag": True, "seq": (0, [2]), "tag": "left", "ratio": 0.5}
     assert witness_json(mixed, s3.labels.__getitem__) == {
         "flag": True, "seq": ["123", ["213"]], "tag": "left", "ratio": "0.5"}
+
+
+def _invariant_flags(m, sub):
+    """C0, clot, positive cone, normality, right and left homogeneity and
+    group(M) of the pair, each as its holds."""
+    c0 = zero_class(syntactic_reflexive_relation(m, sub)) == sub
+    return (c0, is_clot(m, sub).holds, is_positive_cone(m, sub).holds,
+            is_normal_submonoid(m, sub).holds,
+            homogeneity(m, sub, "right").holds,
+            homogeneity(m, sub, "left").holds,
+            subset_group_verdict(m, sub).holds)
+
+
+def test_opposite_monoid_swaps_only_the_homogeneity_sides(corpus):
+    # M^op has the transposed table; every condition but homogeneity is
+    # left-right symmetric, and right homogeneity of M^op is left of M
+    opposite = {}
+    for pair in corpus:
+        m, sub = pair.monoid, pair.mask
+        if m not in opposite:
+            opposite[m] = FiniteMonoid(tuple(zip(*m.table)), m.identity,
+                                       m.labels, f"{m.name}^op")
+        c0, clot, cone, normal, right, left, group = _invariant_flags(m, sub)
+        assert _invariant_flags(opposite[m], sub) == (
+            c0, clot, cone, normal, left, right, group), pair.name
+
+
+def test_conjugation_by_s3_preserves_every_t3_flag(t3, t3_submonoids):
+    # Aut(T3) is S3 acting by conjugation, a -> s·a·s^-1
+    m, named = t3
+    table = m.table
+    inverse = {s: next(t for t in named["bijections"]
+                       if table[s][t] == m.identity)
+               for s in named["bijections"]}
+    conjugations = [[table[table[s][a]][t] for a in range(m.order)]
+                    for s, t in inverse.items()]
+    classes = {}
+    for sub in t3_submonoids:
+        least = min(tuple(sorted(phi[a] for a in sub))
+                    for phi in conjugations)
+        classes.setdefault(least, []).append(sub)
+    assert len(classes) == 160
+    for least, members in classes.items():
+        expected = _invariant_flags(m, frozenset(least))
+        for sub in members:
+            assert _invariant_flags(m, sub) == expected, sorted(sub)

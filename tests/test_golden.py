@@ -31,7 +31,7 @@ from clotkit.search import default_corpus
 GOLDEN = Path(__file__).parent / "golden"
 
 BICYCLIC = ("bicyclic", "--mod", "2,2", "--residues", "(0,0)",
-            "--check-rm", "y1x1,y2x2", "--condition-r", "--internality")
+            "--check-rm", "y1x1,y2x2")
 
 
 def _cli(*argv) -> str:

@@ -60,6 +60,19 @@ print(json.dumps([bare, {LOADED}]))
                       "clotkit.relations"]
 
 
+def test_finite_path_does_not_load_json():
+    # only load_monoid reads JSON, so it imports json itself
+    loaded = _run("""
+import sys
+bare = "json" in sys.modules
+import clotkit.classify
+after = "json" in sys.modules
+import json
+print(json.dumps([bare, after]))
+""")
+    assert loaded == [False, False]
+
+
 def test_star_import_gives_every_public_name():
     star, same, public, version = _run(f"""
 import json, sys

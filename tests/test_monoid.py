@@ -5,6 +5,7 @@ import pytest
 
 from clotkit import monoid as monoid_module
 from clotkit.monoid import (
+    LABEL_LIMIT,
     BadIdentity,
     FiniteMonoid,
     IndexOutOfRange,
@@ -119,6 +120,19 @@ def test_long_cycle_generates_the_cyclic_group():
     cycle = tuple(range(2, 513)) + (1,)
     m = monoid_from_transformations(TransformationSpec(512, (cycle,)))
     assert (m.table, m.identity) == (cyclic_group(512).table, 0)
+
+
+def test_long_labels_are_cut_and_distinct():
+    cycle = tuple(range(2, 513)) + (1,)
+    m = monoid_from_transformations(TransformationSpec(512, (cycle,)))
+    word = ",".join(map(str, range(1, 513)))   # 1,939 characters
+    assert m.labels[m.identity] == word[:LABEL_LIMIT - 2] + "#0"
+    assert max(map(len, m.labels)) == LABEL_LIMIT
+    assert len(set(m.labels)) == m.order
+    # a word within the limit keeps every character
+    ten = tuple(range(2, 11)) + (1,)
+    short = monoid_from_transformations(TransformationSpec(10, (ten,)))
+    assert short.labels[short.identity] == "1,2,3,4,5,6,7,8,9,10"
 
 
 def test_full_transformation_cap():

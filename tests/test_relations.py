@@ -1,9 +1,13 @@
 """The bit-matrix relations against a direct brute-force oracle."""
 
+import json
+
+from clotkit.cli import RELATION_BUILDERS, main
 from clotkit.monoid import (
     cyclic_group,
     enumerate_submonoids,
     full_transformation_monoid,
+    monoid_to_dict,
     validate_monoid,
 )
 from clotkit.relations import (
@@ -286,9 +290,18 @@ def test_zero_class_of_reflexive_relation_within_submonoid(t2, s3, z4):
         assert zero_class(syntactic_reflexive_relation(m, sub)) <= frozenset(sub)
 
 
-def test_relation_dump_format(t2):
+def test_relation_dump_format(t2, tmp_path, capsys):
+    # the relation command is the one text form of a relation: a header,
+    # then row a as a 0/1 string whose character b says whether a S b
     m, named = t2
-    text = syntactic_congruence(m, named["bijections"]).dump()
-    lines = text.splitlines()
-    assert lines[0] == "relation congruence-candidate n=4"
-    assert lines[1:] == ["1001", "0110", "0110", "1001"]
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(monoid_to_dict(m, named)))
+    for kind, build in RELATION_BUILDERS.items():
+        assert main(["relation", str(path), "--submonoid", "bijections",
+                     "--kind", kind]) == 0
+        rel = build(m, named["bijections"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"relation {rel.kind} n=4", *rel.row_strings()]
+        if kind == "cong":
+            assert lines == ["relation congruence-candidate n=4",
+                             "1001", "0110", "0110", "1001"]

@@ -25,7 +25,6 @@ from clotkit.search import (
     UnknownCategory,
     _closed_residue_submonoids,
     build_corpus,
-    infinite_strictness_evidence,
     open_question_report,
     strictness_search,
 )
@@ -115,15 +114,6 @@ def test_corpus_reports_computed_once(corpus):
 def test_infinite_only_inclusions_have_no_finite_witness(corpus):
     assert strictness_search(corpus, "C", "C1") is None
     assert strictness_search(corpus, "C1", "C2") is None
-
-
-def test_infinite_strictness_evidence():
-    evidence = infinite_strictness_evidence(nmax=3)
-    assert evidence == {
-        "bicyclic_parity_not_C1": True,
-        "bicyclic_parity_not_C0": True,
-        "doubling_powers_escape_zero_class": True,
-    }
 
 
 def test_unknown_category_and_non_inclusions_rejected(corpus):
