@@ -150,18 +150,19 @@ class ResidueSubmonoid(NamedTuple):
 
     @property
     def diagonal_form(self) -> tuple[int, frozenset[int]]:
-        """(h, S), h least, with this submonoid the diagonal family
-        Δ_h(S) = {y^n x^m : n ≡ m (mod h), n mod h ∈ S}, as every residue
-        submonoid is (see the README).  As y^p and x^q lie in it, h divides
-        p and q, so the period grid [0, p) x [0, q) decides each h."""
+        """(h, S) with this submonoid the diagonal family Δ_h(S) = {y^n x^m :
+        n ≡ m (mod h), n mod h ∈ S}, as every residue submonoid is (see the
+        README).  Each member has n ≡ m (mod h) and x^h is one, so h is the
+        gcd of p, q and every r - s; the period grid [0, p) x [0, q) then
+        confirms the form."""
         p, q = self.p, self.q
-        for h in range(1, gcd(p, q) + 1):
-            s = frozenset(r % h for r, _ in self.residues)
-            if p % h == q % h == 0 and self.residues == {
-                    (r, t) for r in range(p) for t in range(q)
-                    if (r - t) % h == 0 and r % h in s}:
-                return h, s
-        raise BicyclicError(f"{self.describe()} is not a residue submonoid")
+        h = gcd(p, q, *(r - t for r, t in self.residues))
+        s = frozenset(r % h for r, _ in self.residues)
+        if self.residues != {(r, t) for r in range(p) for t in range(q)
+                             if (r - t) % h == 0 and r % h in s}:
+            raise BicyclicError(
+                f"{self.describe()} is not a residue submonoid")
+        return h, s
 
     def describe(self) -> str:
         res = ",".join(f"({r},{s})" for r, s in sorted(self.residues))
@@ -291,7 +292,7 @@ def b_internality_search(M: ResidueSubmonoid, bound: int) -> Verdict:
         return Verdict(True, note="relation is total")
     for ce in b_internality_counterexamples(M, bound):
         return Verdict(False, witness=ce, bound=bound)
-    return Verdict(True, "bounded", bound=bound,
+    return Verdict(True, bound=bound,
                    note=f"no failure with exponents <= {bound}")
 
 
@@ -334,5 +335,5 @@ def b_interleaved_insertion_bounded(M: ResidueSubmonoid, nmax: int,
         frontier = new
         if not frontier:
             break
-    return Verdict(True, "bounded", bound=bound,
+    return Verdict(True, bound=bound,
                    note=f"n<={nmax}, exponents<={bound}")

@@ -18,8 +18,9 @@ Flag names, from weakest to strongest requirements:
 
 Every report also holds group(M), the verdict that M is a group, as an
 operand of C5 and Dh; it is not in FLAG_ORDER, so no output prints it.
-Each flag carries a mode: "exact", "bounded" (confirmed only up to a
-stated bound) or "n/a" (not computed for this kind of pair).
+Each flag carries a mode, derived from the verdict: "exact", "bounded"
+(a pass confirmed only up to a stated bound) or "n/a" (not computed for
+this kind of pair).
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class ClassificationReport(NamedTuple):
         return self.flags[name].holds
 
 
-NOT_COMPUTED = Verdict(None, "n/a")
+NOT_COMPUTED = Verdict(None)
 
 
 def flag_and(f1: Verdict, f2: Verdict) -> Verdict:
@@ -100,10 +101,8 @@ def flag_and(f1: Verdict, f2: Verdict) -> Verdict:
         return f2
     if f1.holds is None or f2.holds is None:
         return NOT_COMPUTED
-    bounds = [f.bound for f in (f1, f2) if f.mode == "bounded"]
-    if bounds:
-        return Verdict(True, "bounded", bound=min(bounds))
-    return Verdict(True)
+    bounds = [f.bound for f in (f1, f2) if f.bound is not None]
+    return Verdict(True, bound=min(bounds, default=None))
 
 
 def _infer(flags: dict[str, Verdict]) -> list[str]:

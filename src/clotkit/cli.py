@@ -154,7 +154,8 @@ def cmd_classify(args):
         bad = check_consistency(report)
         lines.append("consistency: "
                      + ("ok" if not bad else "VIOLATED " + ", ".join(bad)))
-    return (docs if len(docs) > 1 else docs[0]), lines
+    # --all-submonoids lists its pairs, however many; --submonoid has one
+    return (docs if args.all_submonoids else docs[0]), lines
 
 
 def cmd_relation(args):

@@ -136,6 +136,9 @@ def validate_monoid(table, identity: int, labels=None,
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
             raise MonoidError("label count does not match order")
+        if len(set(labels)) < n:
+            first = next(x for i, x in enumerate(labels) if x in labels[:i])
+            raise MonoidError(f"repeated label {first!r}")
     return FiniteMonoid(rows, identity, labels, name)
 
 
@@ -221,6 +224,11 @@ def direct_product(a: FiniteMonoid, b: FiniteMonoid) -> FiniteMonoid:
 
 
 def cyclic_group(n: int) -> FiniteMonoid:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(
+            f"Z{n} has {n} elements, cap {DEFAULT_ORDER_CAP}")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return FiniteMonoid(table, 0, tuple(str(i) for i in range(n)), f"Z{n}")
 

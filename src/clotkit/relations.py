@@ -24,33 +24,28 @@ if TYPE_CHECKING:
     from .monoid import FiniteMonoid
 
 
-MODES = ("exact", "bounded", "n/a")
+class Verdict(NamedTuple):
+    """Answer to one condition on a pair, with how it was reached.
 
+    A failure carries a witness: a dict whose values are element indices,
+    symbolic elements, or lists of them.  note says how the answer was
+    derived; bound, when set, is the bound a bounded check ran to.
+    v._replace(note=...) gives a copy with a new note.
+    """
 
-class _VerdictFields(NamedTuple):
     holds: Optional[bool]
-    mode: str = "exact"
     witness: Optional[dict] = None
     note: str = ""
     bound: Optional[int] = None
 
-
-class Verdict(_VerdictFields):
-    """Answer to one condition on a pair, with how it was reached.
-
-    mode is "exact" (decided), "bounded" (a pass confirmed only up to
-    `bound`) or "n/a" (not computed; then holds is None).  A failure
-    carries a witness: a dict whose values are element indices, symbolic
-    elements, or lists of them.  note says how the answer was derived.
-    v._replace(note=...) gives a copy with a new note.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *_args, **_kwargs):
-        if (self.mode not in MODES
-                or (self.holds is None) != (self.mode == "n/a")):
-            raise ValueError(f"verdict {self.holds!r} with mode {self.mode!r}")
+    @property
+    def mode(self) -> str:
+        """How the answer was reached: "n/a" when not computed (holds is
+        None), "bounded" for a pass confirmed only up to its bound, else
+        "exact"; refutations are always exact."""
+        if self.holds is None:
+            return "n/a"
+        return "bounded" if self.holds and self.bound is not None else "exact"
 
     def __bool__(self) -> bool:
         return self.holds is True

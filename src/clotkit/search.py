@@ -18,7 +18,6 @@ from .classify import (
 from .clots import is_clot
 from .monoid import (
     FiniteMonoid,
-    _Record,
     cyclic_group,
     direct_product,
     enumerate_submonoids,
@@ -42,23 +41,15 @@ class CorpusPair(NamedTuple):
     mask: frozenset
 
 
-class Corpus(_Record):
+class Corpus(tuple):
     """Corpus(pairs), a tuple of CorpusPairs; no __slots__, as
     cached_property keeps the reports in the instance's __dict__."""
-
-    _fields = ("pairs",)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
 
     @cached_property
     def reports(self) -> tuple[ClassificationReport, ...]:
         """classify_pair of each pair, in order; computed once, on first
         use, and dropped with the corpus."""
-        return tuple(classify_pair(p.monoid, p.mask) for p in self.pairs)
+        return tuple(classify_pair(p.monoid, p.mask) for p in self)
 
 
 def build_corpus() -> Corpus:
@@ -95,7 +86,7 @@ def build_corpus() -> Corpus:
 
     pairs.sort(key=lambda p: (p.monoid.order, p.monoid.table,
                               sum(1 << b for b in p.mask)))
-    return Corpus(tuple(pairs))
+    return Corpus(pairs)
 
 
 @lru_cache(maxsize=1)

@@ -39,7 +39,7 @@ def b_unit_insertion_condition(M: bc.ResidueSubmonoid,
             if prod not in M:
                 return Verdict(False, witness={"u": u, "k": k,
                                                "product": prod}, bound=bound)
-    return Verdict(True, "bounded", bound=bound,
+    return Verdict(True, bound=bound,
                    note=f"members scanned up to exponent {bound}")
 
 

@@ -110,7 +110,7 @@ def interleaved_insertion_bounded(m: FiniteMonoid, subset,
     if bad is None:
         if stabilized:
             return Verdict(True, note=f"{tag}, stabilized at level {level}")
-        return Verdict(True, "bounded", note=tag, bound=nmax)
+        return Verdict(True, note=tag, bound=nmax)
     # walk parents back to a seed to reconstruct the factorization
     n = m.order
     table = m.table

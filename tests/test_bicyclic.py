@@ -272,6 +272,21 @@ def test_unit_insertion_mod_three_fails():
                                "product": BicyclicElement(2, 2)}
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: BicyclicElement(-1, 0), "exponents must be nonnegative"),
+    (lambda: one_factorizations(BicyclicElement(2, 1)).member(1),
+     "family parameter must be >= 2"),
+    (lambda: residue_submonoid(0, 1, {(0, 0)}), "moduli must be >= 1"),
+    (lambda: b_internality_search(parity_submonoid(), 0),
+     "bound must be >= 1"),
+    (lambda: b_interleaved_insertion_bounded(parity_submonoid(), 0, 1),
+     "nmax and bound must be >= 1"),
+])
+def test_out_of_range_arguments_refused(call, message):
+    with pytest.raises(bc.BicyclicError, match=message):
+        call()
+
+
 def test_even_x_exponent_set_is_not_closed():
     # {y^n x^m : m even} escapes itself: x*x * y = x
     with pytest.raises(NotClosed):
@@ -380,7 +395,7 @@ def _reference_internality_search(M, bound):
         return Verdict(True, note="relation is total")
     for ce in _reference_counterexamples(M, bound):
         return Verdict(False, witness=ce, bound=bound)
-    return Verdict(True, "bounded", bound=bound,
+    return Verdict(True, bound=bound,
                    note=f"no failure with exponents <= {bound}")
 
 
@@ -412,7 +427,7 @@ def _reference_interleaved(M, nmax, bound):
         frontier = new
         if not frontier:
             break
-    return Verdict(True, "bounded", bound=bound,
+    return Verdict(True, bound=bound,
                    note=f"n<={nmax}, exponents<={bound}")
 
 

@@ -175,10 +175,18 @@ def test_proved_normal_proves_every_flag_outside_it():
 
 
 def test_bounded_pass_propagates_with_its_bound():
-    flags, _ = _inferred({"C(1,0)": Verdict(True, "bounded", bound=5)})
+    flags, _ = _inferred({"C(1,0)": Verdict(True, bound=5)})
     for name in ("C0.5", "C0", "C"):
         assert flags[name].holds is True
         assert flags[name].mode == "bounded" and flags[name].bound == 5
+
+
+def test_report_json_states_a_bounded_pass_and_its_bound():
+    flags, _ = _inferred({"C(1,0)": Verdict(True, bound=5)})
+    report = ClassificationReport("synthetic", flags)
+    entry = report_json(report)["flags"]["C0"]
+    assert entry == {"holds": True, "mode": "bounded", "bound": 5,
+                     "note": "by C0.5 ⊆ C0"}
 
 
 def test_a_flag_the_classifier_set_is_never_overwritten():

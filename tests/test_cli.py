@@ -91,6 +91,37 @@ def test_classify_all_submonoids(t2_file, capsys):
     assert isinstance(parsed, list) and len(parsed) == 6
 
 
+def test_classify_json_shape_follows_the_option(tmp_path, t2_file, capsys):
+    # --all-submonoids prints a list even of one pair; --submonoid an object
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"table": [[0]], "identity": 0}))
+    for file, extra in ((str(path), ()), (t2_file, ("--cap", "1"))):
+        code, out, _ = run(capsys, "classify", file, "--all-submonoids",
+                           *extra, "--json")
+        parsed = json.loads(out)
+        assert code == 0 and isinstance(parsed, list) and len(parsed) == 1
+    code, out, _ = run(capsys, "classify", str(path), "--submonoid", "0",
+                       "--json")
+    assert code == 0 and json.loads(out)["pair"] == "M:{0}"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("classify", "T2", "--submonoid", "abc"),
+     "submonoid 'abc' is neither a named subset nor a comma-separated index"),
+    (("classify", "T2", "--submonoid", " , "), "empty submonoid selector"),
+    (("classify", "T2"), "need --submonoid or --all-submonoids"),
+    (("bicyclic", "--mod", "2,x", "--residues", "(0,0)"),
+     "--mod expects P,Q; got '2,x'"),
+    (("bicyclic", "--mod", "2,2", "--residues", "(0,0)", "--normal-form",
+      "yxz"), "bad character 'z' in word"),
+])
+def test_bad_arguments_exit_2(t2_file, capsys, args, message):
+    args = [t2_file if a == "T2" else a for a in args]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err, err
+
+
 def test_relation_dump(t2_file, capsys):
     code, out, _ = run(capsys, "relation", t2_file,
                        "--submonoid", "bijections", "--kind", "cong")
@@ -181,6 +212,10 @@ Z2 = {"table": [[0, 1], [1, 0]], "identity": 0}
     ({"table": [0]}, "table row 0 is not a list of indices"),
     ({"table": {"a": [0]}, "identity": 0}, "table is not a list of rows"),
     ({"table": ["0"], "identity": 0}, "table row 0 is not a list of indices"),
+    ({"table": [], "identity": 0}, "empty table"),
+    # labels name the elements, one each, in witnesses and zero-classes
+    (dict(Z2, labels=["a"]), "label count does not match order"),
+    (dict(Z2, labels=["a", "a"]), "repeated label 'a'"),
 ])
 def test_malformed_file_names_the_field(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"

@@ -140,6 +140,20 @@ def test_full_transformation_cap():
         full_transformation_monoid(5)
 
 
+# builders refuse a size out of range before building anything
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: full_transformation_monoid(0), ValueError, "k must be >= 1"),
+    (lambda: cyclic_group(0), ValueError, "n must be >= 1"),
+    (lambda: cyclic_group(-3), ValueError, "n must be >= 1"),
+    (lambda: cyclic_group(513), OrderCapExceeded, "Z513 has 513 elements"),
+    (lambda: enumerate_submonoids(cyclic_group(2), cap=0), ValueError,
+     "cap must be >= 1"),
+])
+def test_builders_refuse_a_size_out_of_range(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_direct_product_trivial_is_isomorphic_copy():
     one = validate_monoid([[0]], 0)
     z3 = cyclic_group(3)
@@ -258,6 +272,9 @@ def test_masks_closed_by_construction_pass_the_full_check(t3, corpus):
 
 
 def test_slot_records_are_immutable_values(t2):
+    # the two records that cannot be tuples; the rest are NamedTuples
+    assert set(monoid_module._Record.__subclasses__()) == {FiniteMonoid,
+                                                         SubmonoidMask}
     m, named = t2
     twin = FiniteMonoid(m.table, m.identity, m.labels, m.name)
     assert twin == m and hash(twin) == hash(m) and twin is not m
@@ -398,6 +415,8 @@ def test_order_cap_is_read_at_call_time(monkeypatch, t2):
         full_transformation_monoid(2)
     with pytest.raises(OrderCapExceeded):
         direct_product(cyclic_group(2), cyclic_group(2))
+    with pytest.raises(OrderCapExceeded):
+        cyclic_group(4)
 
 
 def test_largest_builtin_transformation_monoid():

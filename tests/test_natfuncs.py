@@ -46,6 +46,10 @@ def test_validation_errors():
         ea(1, 0, 3, (1,))              # wrong exception count
     with pytest.raises(ValueError):
         ea(1, 0, 2, (0,))              # exception value below 1
+    with pytest.raises(ValueError, match="threshold must be >= 1"):
+        ea(1, 0, threshold=0)
+    with pytest.raises(ValueError, match="domain is the positive naturals"):
+        DOUBLING(0)
 
 
 def test_normalization_removes_redundant_exceptions():
@@ -130,6 +134,8 @@ def test_refutation_report():
 def test_refutation_report_vacuous():
     report = doubling_refutation_report(0)
     assert report.passed and report.composites == ()
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        doubling_refutation_report(-1)
 
 
 def test_literal_form():

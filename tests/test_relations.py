@@ -11,6 +11,7 @@ from clotkit.monoid import (
     validate_monoid,
 )
 from clotkit.relations import (
+    Verdict,
     internal_reflexive_closure,
     is_internal,
     syntactic_congruence,
@@ -305,3 +306,13 @@ def test_relation_dump_format(t2, tmp_path, capsys):
         if kind == "cong":
             assert lines == ["relation congruence-candidate n=4",
                              "1001", "0110", "0110", "1001"]
+
+
+def test_verdict_mode_is_derived_from_holds_and_bound():
+    assert Verdict._fields == ("holds", "witness", "note", "bound")
+    assert Verdict(None).mode == "n/a"
+    assert Verdict(True, bound=3).mode == "bounded"
+    # refutations are always exact, bound or not
+    assert Verdict(False, bound=3).mode == "exact"
+    assert Verdict(True).mode == "exact" and Verdict(False).mode == "exact"
+    assert bool(Verdict(True)) and not Verdict(False) and not Verdict(None)

@@ -66,7 +66,7 @@ def test_empty_corpus():
 
 
 def test_corpus_masks_are_valid_submonoids(corpus):
-    for pair in corpus.pairs[:40]:
+    for pair in corpus[:40]:
         m = pair.monoid
         assert m.identity in pair.mask
         for i in pair.mask:
@@ -104,10 +104,11 @@ def test_strictness_witnesses_revalidate(corpus):
 
 
 def test_corpus_reports_computed_once(corpus):
+    assert isinstance(corpus, tuple)
     assert corpus.reports is corpus.reports
     assert len(corpus.reports) == len(corpus)
     for i in (0, len(corpus) // 2, len(corpus) - 1):
-        pair = corpus.pairs[i]
+        pair = corpus[i]
         assert corpus.reports[i] == classify_pair(pair.monoid, pair.mask)
 
 
