@@ -16,17 +16,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "monoid": """FiniteMonoid SubmonoidMask TransformationSpec cyclic_group
         direct_product enumerate_submonoids full_transformation_monoid
-        group_verdict is_dedekind_finite load_monoid monoid_from_dict
-        monoid_to_dict restrict_to_submonoid submonoid_closure
-        subset_group_verdict validate_monoid""".split(),
+        group_verdict load_monoid monoid_from_dict monoid_to_dict
+        restrict_to_submonoid submonoid_closure subset_group_verdict
+        validate_monoid""".split(),
     "relations": """Relation Verdict internal_reflexive_closure is_internal
         syntactic_congruence syntactic_preorder syntactic_reflexive_relation
         witness_json zero_class""".split(),
     "clots": """homogeneity is_clot is_normal_submonoid is_positive_cone
         unit_transfer_condition""".split(),
     "bicyclic": """BicyclicElement ResidueSubmonoid b_internality_search
-        b_rm_related bmul bword_normal_form one_factorizations
-        parity_submonoid residue_submonoid""".split(),
+        b_rm_related bmul bword_normal_form parity_submonoid
+        residue_submonoid""".split(),
     "natfuncs": """EventuallyAffineMap doubling_refutation_report ea
         ea_compose ea_in_doubling_submonoid""".split(),
     "classify": """ClassificationReport check_consistency classify_bicyclic

@@ -6,8 +6,8 @@ unique normal form y^n x^m.  Products follow the closed formula
     (y^n x^m)(y^p x^q) = y^(n + max(p-m, 0)) x^(q + max(m-p, 0)).
 
 Key structural fact used throughout: a product X*Y equals 1 exactly when
-X = x^k and Y = y^k for some k, so the factorizations of 1 through a fixed
-middle element form a one-parameter family.
+X = x^k and Y = y^k for some k, so the factorizations X*(y^s x^t)*Y = 1
+through a fixed middle element are (x^k, y^(t+k-s)) for k >= s.
 
 The hierarchy flags of a residue submonoid are decided exactly by
 classify.classify_bicyclic.  The one bounded scan here that a command
@@ -110,30 +110,6 @@ def bword_normal_form(word: str) -> BicyclicElement:
     return BicyclicElement(n, m)
 
 
-class FactorizationFamily(NamedTuple):
-    """All (X, Y) with X * (y^s x^t) * Y = 1: X = x^m, Y = y^(t+m-s), m >= s."""
-
-    s: int
-    t: int
-
-    @property
-    def m_min(self) -> int:
-        return self.s
-
-    def member(self, m: int) -> tuple[BicyclicElement, BicyclicElement]:
-        if m < self.s:
-            raise BicyclicError(f"family parameter must be >= {self.s}")
-        return BicyclicElement(0, m), BicyclicElement(self.t + m - self.s, 0)
-
-    def members(self, count: int):
-        return [self.member(self.s + i) for i in range(count)]
-
-
-def one_factorizations(a: BicyclicElement) -> FactorizationFamily:
-    """The complete family of solutions of X * a * Y = 1."""
-    return FactorizationFamily(a.n, a.m)
-
-
 class ResidueSubmonoid(NamedTuple):
     """Elements y^n x^m whose (n mod p, m mod q) lies in a fixed residue set."""
 
@@ -231,7 +207,7 @@ def b_rm_related(a: BicyclicElement, b: BicyclicElement,
     k = _rm_failure((a.n, a.m), (b.n, b.m), M)
     if k is None:
         return Verdict(True)
-    left, right = one_factorizations(a).member(k)
+    left, right = BicyclicElement(0, k), BicyclicElement(a.m + k - a.n, 0)
     return Verdict(False, witness={"x": left, "y": right,
                                    "product": bmul(bmul(left, b), right)})
 

@@ -127,6 +127,8 @@ def cmd_validate(args):
 
 
 def cmd_classify(args):
+    if args.all_submonoids and args.submonoid is not None:
+        raise InputError("give --submonoid or --all-submonoids, not both")
     m, named = _load(args.file)
     if args.all_submonoids:
         enum = enumerate_submonoids(m, cap=args.cap)
@@ -225,7 +227,7 @@ def cmd_bicyclic(args):
     for key, flag, _, _ in BICYCLIC_SECTIONS:
         out[key] = {"holds": flags[flag].holds,
                     "witness": witness_json(flags[flag].witness)}
-    if args.normal_form:
+    if args.normal_form is not None:
         try:
             out["normal_form"] = str(bc.bword_normal_form(args.normal_form))
         except bc.BicyclicError as exc:

@@ -407,15 +407,6 @@ def unit_pairs(m: FiniteMonoid) -> list[tuple[int, int]]:
             for y, xy in enumerate(row) if xy == e]
 
 
-def is_dedekind_finite(m: FiniteMonoid) -> Verdict:
-    """Every one-sided inverse is two-sided: xy = 1 implies yx = 1."""
-    e = m.identity
-    for x, y in unit_pairs(m):
-        if m.table[y][x] != e:
-            return Verdict(False, witness={"x": x, "y": y})
-    return Verdict(True)
-
-
 def group_verdict(m: FiniteMonoid) -> Verdict:
     """Whether every element has a two-sided inverse."""
     return subset_group_verdict(m, frozenset(range(m.order)))

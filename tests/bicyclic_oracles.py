@@ -1,6 +1,8 @@
 """Bicyclic scans that no command uses, kept beside the tests as
 independent oracles for clotkit's exact bicyclic procedures.
 
+* `one_factorization`: the factorization (x^k, y^(t+k-s)) of 1 through
+  y^s x^t with family parameter k, from the closed form;
 * `b_unit_insertion_condition`: C0 of a residue submonoid, as the
   unit-insertion condition x^k * u * y^k in M scanned up to a bound; the
   oracle of classify_bicyclic's C0;
@@ -19,6 +21,14 @@ from __future__ import annotations
 
 from clotkit import bicyclic as bc
 from clotkit.relations import Verdict
+
+
+def one_factorization(a: bc.BicyclicElement, k: int):
+    """(X, Y) = (x^k, y^(t+k-s)), the solution of X * a * Y = 1 with family
+    parameter k, a = y^s x^t; every solution has this form for one k >= s."""
+    if k < a.n:
+        raise bc.BicyclicError(f"family parameter must be >= {a.n}")
+    return bc.BicyclicElement(0, k), bc.BicyclicElement(a.m + k - a.n, 0)
 
 
 def b_unit_insertion_condition(M: bc.ResidueSubmonoid,
@@ -55,9 +65,8 @@ def rm_related_full_scan(a: bc.BicyclicElement, b: bc.BicyclicElement,
                          M: bc.ResidueSubmonoid) -> Verdict:
     """Every factorization X*a*Y = 1 gives X*b*Y in M, scanning the family
     parameter m over [a.n, max(a.n, b.n)]; the product is constant beyond."""
-    fam = bc.one_factorizations(a)
     for m in range(a.n, max(a.n, b.n) + 1):
-        left, right = fam.member(m)
+        left, right = one_factorization(a, m)
         prod = bc.bmul(bc.bmul(left, b), right)
         if prod not in M:
             return Verdict(False,

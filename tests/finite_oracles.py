@@ -1,6 +1,8 @@
 """Scans that no command uses, kept beside the tests as independent
 oracles for the decision procedures in clotkit.
 
+* `is_dedekind_finite`: C3 by a scan over unit pairs, which a finite
+  monoid passes by theorem;
 * `unit_insertion_condition`: C0 by a scan over unit pairs;
 * `interleaved_insertion_bounded`: identity factorizations absorbing
   interleaved members, a breadth-first re-derivation of clot status;
@@ -30,6 +32,15 @@ from clotkit.relations import Relation, Verdict, _bits, as_subset
 
 class NotAGroup(MonoidError):
     """Raised by checks that are only defined over groups."""
+
+
+def is_dedekind_finite(m: FiniteMonoid) -> Verdict:
+    """Every one-sided inverse is two-sided: xy = 1 implies yx = 1."""
+    e = m.identity
+    for x, y in unit_pairs(m):
+        if m.table[y][x] != e:
+            return Verdict(False, witness={"x": x, "y": y})
+    return Verdict(True)
 
 
 def unit_insertion_condition(m: FiniteMonoid, subset) -> Verdict:

@@ -19,7 +19,6 @@ from clotkit.bicyclic import (
     b_rm_related,
     bmul,
     bword_normal_form,
-    one_factorizations,
     parity_submonoid,
     parse_element,
     residue_submonoid,
@@ -30,6 +29,7 @@ from clotkit.search import _closed_residue_submonoids
 from bicyclic_oracles import (
     b_unit_insertion_condition,
     normal_form_by_rewriting,
+    one_factorization,
     related_pairs_up_to,
     rm_related_full_scan,
 )
@@ -108,26 +108,27 @@ def test_parse_and_format():
 
 
 def test_factorization_family_examples():
-    fam = one_factorizations(BicyclicElement(2, 1))
-    assert fam.m_min == 2
-    assert fam.member(2) == (BicyclicElement(0, 2), BicyclicElement(1, 0))
-    assert fam.member(5) == (BicyclicElement(0, 5), BicyclicElement(4, 0))
+    a = BicyclicElement(2, 1)
+    assert one_factorization(a, 2) == (BicyclicElement(0, 2),
+                                       BicyclicElement(1, 0))
+    assert one_factorization(a, 5) == (BicyclicElement(0, 5),
+                                       BicyclicElement(4, 0))
 
-    fam = one_factorizations(ONE)
-    assert fam.member(0) == (ONE, ONE)
-    assert fam.member(3) == (BicyclicElement(0, 3), BicyclicElement(3, 0))
+    assert one_factorization(ONE, 0) == (ONE, ONE)
+    assert one_factorization(ONE, 3) == (BicyclicElement(0, 3),
+                                         BicyclicElement(3, 0))
 
-    fam = one_factorizations(X)
-    assert fam.member(0) == (ONE, Y)
-    assert fam.member(2) == (BicyclicElement(0, 2), BicyclicElement(3, 0))
+    assert one_factorization(X, 0) == (ONE, Y)
+    assert one_factorization(X, 2) == (BicyclicElement(0, 2),
+                                       BicyclicElement(3, 0))
 
 
 def test_factorization_family_members_multiply_to_one():
     for s in range(6):
         for t in range(6):
             a = BicyclicElement(s, t)
-            fam = one_factorizations(a)
-            for left, right in fam.members(6):
+            for k in range(s, s + 6):
+                left, right = one_factorization(a, k)
                 assert bmul(bmul(left, a), right) == ONE
 
 
@@ -136,8 +137,7 @@ def test_factorization_family_complete_up_to_six():
     for s in range(4):
         for t in range(4):
             a = BicyclicElement(s, t)
-            fam = one_factorizations(a)
-            family = {fam.member(m) for m in range(s, 14)}
+            family = {one_factorization(a, k) for k in range(s, 14)}
             scanned = {(left, right) for left in elems for right in elems
                        if bmul(bmul(left, a), right) == ONE}
             assert scanned <= family
@@ -217,10 +217,9 @@ def test_rm_related_reflexive():
 @settings(max_examples=200)
 def test_rm_related_short_scan_matches_long_scan(a, b):
     parity = parity_submonoid()
-    fam = one_factorizations(a)
     long_scan = all(
         bmul(bmul(left, b), right) in parity
-        for left, right in (fam.member(m)
+        for left, right in (one_factorization(a, m)
                             for m in range(a.n, max(a.n, b.n) + 11)))
     assert b_rm_related(a, b, parity).holds == long_scan
 
@@ -229,12 +228,11 @@ def test_rm_related_short_scan_matches_long_scan(a, b):
 @settings(max_examples=200)
 def test_rm_product_constant_beyond_scan_range(a, b):
     parity = parity_submonoid()
-    fam = one_factorizations(a)
     cut = max(a.n, b.n)
-    base_left, base_right = fam.member(cut)
+    base_left, base_right = one_factorization(a, cut)
     base = bmul(bmul(base_left, b), base_right)
     for m in (cut + 1, cut + 2):
-        left, right = fam.member(m)
+        left, right = one_factorization(a, m)
         assert bmul(bmul(left, b), right) == base
 
 
@@ -274,7 +272,7 @@ def test_unit_insertion_mod_three_fails():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: BicyclicElement(-1, 0), "exponents must be nonnegative"),
-    (lambda: one_factorizations(BicyclicElement(2, 1)).member(1),
+    (lambda: one_factorization(BicyclicElement(2, 1), 1),
      "family parameter must be >= 2"),
     (lambda: residue_submonoid(0, 1, {(0, 0)}), "moduli must be >= 1"),
     (lambda: b_internality_search(parity_submonoid(), 0),

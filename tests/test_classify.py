@@ -41,7 +41,11 @@ from clotkit.relations import (
     syntactic_reflexive_relation,
 )
 from bicyclic_oracles import b_unit_insertion_condition
-from finite_oracles import _minimal_form, closed_residue_sets
+from finite_oracles import (
+    _minimal_form,
+    closed_residue_sets,
+    is_dedekind_finite,
+)
 
 A3 = frozenset({0, 3, 4})
 SWAP12 = frozenset({0, 2})
@@ -381,6 +385,17 @@ def test_finite_pairs_make_upper_chain_collapse(corpus):
     for report in corpus.reports:
         assert report.holds("C3") and report.holds("C2") and report.holds("C1")
         assert report.holds("C0.5") == report.holds("C(1,0)")
+
+
+def test_c3_is_the_theorem_the_dedekind_scan_confirms(corpus):
+    # classify_pair sets C3 by theorem, an exact pass with no witness; the
+    # unit-pair scan is its oracle, on every corpus monoid and on T4
+    t4, _ = full_transformation_monoid(4)
+    for m in {pair.monoid for pair in corpus} | {t4}:
+        assert is_dedekind_finite(m) == Verdict(True), m.name
+    for report in corpus.reports:
+        c3 = report.flags["C3"]
+        assert c3 == Verdict(True) and c3.mode == "exact", report.pair
 
 
 def test_no_state_outlives_a_call():

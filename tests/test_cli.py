@@ -114,6 +114,8 @@ def test_classify_json_shape_follows_the_option(tmp_path, t2_file, capsys):
      "--mod expects P,Q; got '2,x'"),
     (("bicyclic", "--mod", "2,2", "--residues", "(0,0)", "--normal-form",
       "yxz"), "bad character 'z' in word"),
+    (("classify", "T2", "--submonoid", "bijections", "--all-submonoids"),
+     "give --submonoid or --all-submonoids, not both"),
 ])
 def test_bad_arguments_exit_2(t2_file, capsys, args, message):
     args = [t2_file if a == "T2" else a for a in args]
@@ -424,6 +426,16 @@ def test_bicyclic_normal_form(capsys):
     code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
                        "(0,0)", "--normal-form", "yxxyyyx")
     assert code == 0 and "normal form: y2x1" in out
+
+
+def test_bicyclic_normal_form_of_the_empty_word(capsys):
+    # the empty word is a word, and its normal form is the identity
+    code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
+                       "(0,0)", "--normal-form", "")
+    assert code == 0 and out.splitlines()[-1] == "normal form: y0x0"
+    code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
+                       "(0,0)", "--normal-form", "", "--json")
+    assert code == 0 and json.loads(out)["normal_form"] == "y0x0"
 
 
 def test_bicyclic_bad_element(capsys):

@@ -14,17 +14,15 @@ PUBLIC_NAMES = """
     bicyclic classify clots monoid natfuncs relations search
     FiniteMonoid SubmonoidMask TransformationSpec cyclic_group direct_product
     enumerate_submonoids full_transformation_monoid group_verdict
-    is_dedekind_finite load_monoid monoid_from_dict monoid_to_dict
-    restrict_to_submonoid submonoid_closure subset_group_verdict
-    validate_monoid
+    load_monoid monoid_from_dict monoid_to_dict restrict_to_submonoid
+    submonoid_closure subset_group_verdict validate_monoid
     Relation Verdict internal_reflexive_closure is_internal
     syntactic_congruence syntactic_preorder syntactic_reflexive_relation
     witness_json zero_class
     homogeneity is_clot is_normal_submonoid is_positive_cone
     unit_transfer_condition
     BicyclicElement ResidueSubmonoid b_internality_search b_rm_related
-    bmul bword_normal_form one_factorizations parity_submonoid
-    residue_submonoid
+    bmul bword_normal_form parity_submonoid residue_submonoid
     EventuallyAffineMap doubling_refutation_report ea ea_compose
     ea_in_doubling_submonoid
     ClassificationReport check_consistency classify_bicyclic classify_pair

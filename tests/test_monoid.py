@@ -19,7 +19,6 @@ from clotkit.monoid import (
     enumerate_submonoids,
     full_transformation_monoid,
     group_verdict,
-    is_dedekind_finite,
     monoid_from_dict,
     monoid_from_transformations,
     monoid_to_dict,
@@ -29,7 +28,7 @@ from clotkit.monoid import (
     unit_pairs,
     validate_monoid,
 )
-from finite_oracles import pairwise_submonoid_closure
+from finite_oracles import is_dedekind_finite, pairwise_submonoid_closure
 
 Z2_TABLE = [[0, 1], [1, 0]]
 

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from clotkit import bicyclic as bc
-from clotkit import monoid, search
+from clotkit import monoid, relations, search
 from clotkit.classify import (
     FLAG_ORDER,
     IMPLICATIONS,
@@ -17,7 +17,6 @@ from clotkit.monoid import (
     full_transformation_monoid,
     monoid_from_transformations,
 )
-from clotkit.relations import Verdict
 from clotkit.search import (
     HUNT_INSERTION_NMAX,
     HUNT_MODULI_CEILING,
@@ -205,17 +204,16 @@ def test_finite_vacuity_matches_classification(corpus):
         _finite_vacuity_by_classification(corpus)
 
 
-def test_finite_vacuity_takes_c1_from_dedekind_finiteness(
-        corpus, monkeypatch):
-    # C1 comes from one Dedekind-finiteness pass per monoid and no scan, so
-    # with that pass made to fail every clot is reported
-    checked = []
-    monkeypatch.setattr(search, "is_dedekind_finite",
-                        lambda m: checked.append(m) or Verdict(False))
+def test_finite_vacuity_builds_no_syntactic_relation(corpus, monkeypatch):
+    # C(1,0) of a clot holds by theorem, so the finite section counts clots
+    # with is_clot and builds no syntactic relation
+    def refuse(*args):
+        raise AssertionError("the hunt built a syntactic relation")
+
+    clots = sum(report.holds("C0.5") for report in corpus.reports)
+    monkeypatch.setattr(relations, "_context_vectors", refuse)
     fin = open_question_report(corpus, moduli_bound=1)["finite_vacuity"]
-    assert len(checked) == len({pair.monoid for pair in corpus})
-    assert fin["violations"] == [
-        report.pair for report in corpus.reports if report.holds("C0.5")]
+    assert (fin["clot_pairs"], fin["violations"]) == (clots, [])
 
 
 # ------------------------------------------------- residue submonoids
