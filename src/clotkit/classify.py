@@ -171,8 +171,6 @@ def classify_bicyclic(M: ResidueSubmonoid) -> ClassificationReport:
     proofs; the hierarchy settles the flags they leave."""
     from . import bicyclic as bc
 
-    # the generator pair x, y has xy = 1 but yx = yx != 1
-    assert bc.bmul(bc.X, bc.Y) == bc.ONE and bc.bmul(bc.Y, bc.X) != bc.ONE
     flags: dict[str, Verdict] = {
         "C": Verdict(True),
         "C3": Verdict(False, witness={"x": bc.X, "y": bc.Y},

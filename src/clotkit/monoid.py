@@ -400,11 +400,12 @@ def enumerate_submonoids(m: FiniteMonoid,
     return SubmonoidEnumeration(masks, truncated)
 
 
-def unit_pairs(m: FiniteMonoid) -> list[tuple[int, int]]:
-    """Every factorization xy = 1, in ascending order of (x, y)."""
+def inverses(m: FiniteMonoid) -> dict[int, int]:
+    """Each unit mapped to its inverse, in one scan of the table: in a
+    finite monoid xy = 1 gives yx = 1, so each factorization of 1 pairs a
+    unit with its inverse, and a row holds 1 once if at all."""
     e = m.identity
-    return [(x, y) for x, row in enumerate(m.table)
-            for y, xy in enumerate(row) if xy == e]
+    return {x: row.index(e) for x, row in enumerate(m.table) if e in row}
 
 
 def group_verdict(m: FiniteMonoid) -> Verdict:
@@ -415,8 +416,7 @@ def group_verdict(m: FiniteMonoid) -> Verdict:
 def subset_group_verdict(m: FiniteMonoid, subset) -> Verdict:
     """Whether every element of the subset has its two-sided inverse in it."""
     bits = as_subset(m, subset)
-    e = m.identity
-    inverse = {x: y for x, y in unit_pairs(m) if m.table[y][x] == e}
+    inverse = inverses(m)
     for u in sorted(bits):
         if inverse.get(u) not in bits:
             return Verdict(False, witness={"a": u})

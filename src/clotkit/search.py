@@ -124,12 +124,11 @@ HUNT_INSERTION_NMAX = 2
 HUNT_MODULI_CEILING = 6
 
 
-def open_question_report(corpus: Optional[Corpus] = None,
-                         moduli_bound: int = 4) -> dict:
+def open_question_report(moduli_bound: int = 4) -> dict:
     """Two-part report on whether a clot can have an incompatible reflexive
     syntactic relation.
 
-    Part one: over the finite corpus no counterexample is possible, by
+    Part one: over the default corpus no counterexample is possible, by
     theorem (finite monoids are Dedekind finite, so every clot lies in
     C(1,0)); the scan only counts the clots.
 
@@ -144,8 +143,7 @@ def open_question_report(corpus: Optional[Corpus] = None,
     if not 1 <= moduli_bound <= HUNT_MODULI_CEILING:
         raise ValueError(f"moduli_bound {moduli_bound!r} outside "
                          f"1..{HUNT_MODULI_CEILING}")
-    if corpus is None:
-        corpus = default_corpus()
+    corpus = default_corpus()
     finite = {
         "pairs_checked": len(corpus),
         "clot_pairs": sum(is_clot(p.monoid, p.mask).holds for p in corpus),

@@ -1,8 +1,12 @@
 """Scans that no command uses, kept beside the tests as independent
 oracles for the decision procedures in clotkit.
 
+* `unit_pairs`: every factorization xy = 1, the pairs the scans below
+  run over;
 * `is_dedekind_finite`: C3 by a scan over unit pairs, which a finite
   monoid passes by theorem;
+* `unit_transfer_scan`: C2 by a scan over unit pairs, which a finite
+  monoid passes exactly on the subsets closed under the product;
 * `unit_insertion_condition`: C0 by a scan over unit pairs;
 * `interleaved_insertion_bounded`: identity factorizations absorbing
   interleaved members, a breadth-first re-derivation of clot status;
@@ -26,12 +30,19 @@ from math import lcm
 from typing import Optional
 
 from clotkit import bicyclic as bc
-from clotkit.monoid import FiniteMonoid, MonoidError, unit_pairs
+from clotkit.monoid import FiniteMonoid, MonoidError
 from clotkit.relations import Relation, Verdict, _bits, as_subset
 
 
 class NotAGroup(MonoidError):
     """Raised by checks that are only defined over groups."""
+
+
+def unit_pairs(m: FiniteMonoid) -> list[tuple[int, int]]:
+    """Every factorization xy = 1, in ascending order of (x, y)."""
+    e = m.identity
+    return [(x, y) for x, row in enumerate(m.table)
+            for y, xy in enumerate(row) if xy == e]
 
 
 def is_dedekind_finite(m: FiniteMonoid) -> Verdict:
@@ -41,6 +52,24 @@ def is_dedekind_finite(m: FiniteMonoid) -> Verdict:
         if m.table[y][x] != e:
             return Verdict(False, witness={"x": x, "y": y})
     return Verdict(True)
+
+
+def unit_transfer_scan(m: FiniteMonoid, subset) -> Verdict:
+    """xy = 1, xs in M and ty in M together imply ts in M, scanned over
+    every unit pair (x, y) and then every such s and t in ascending order."""
+    sub = as_subset(m, subset)
+    table = m.table
+    n = m.order
+    for x, y in unit_pairs(m):
+        good_s = [s for s in range(n) if table[x][s] in sub]
+        good_t = [t for t in range(n) if table[t][y] in sub]
+        for s in good_s:
+            for t in good_t:
+                if table[t][s] not in sub:
+                    return Verdict(False,
+                                   witness={"x": x, "y": y, "s": s, "t": t},
+                                   note="scan over unit pairs")
+    return Verdict(True, note="scan over unit pairs")
 
 
 def unit_insertion_condition(m: FiniteMonoid, subset) -> Verdict:

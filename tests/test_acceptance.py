@@ -85,7 +85,7 @@ def test_criterion_2_doubling_example_reproduction():
 
 def test_criterion_3_bijection_submonoid_reproduction():
     start = time.perf_counter()
-    for k in (2, 3):
+    for k in (2, 3, 4):
         m, named = full_transformation_monoid(k)
         bij = named["bijections"]
         assert is_normal_submonoid(m, bij).holds
@@ -98,6 +98,14 @@ def test_criterion_3_bijection_submonoid_reproduction():
             assert right.holds
         else:
             assert not right.holds
+        rm = syntactic_reflexive_relation(m, bij)
+        assert zero_class(rm) == bij
+    # k = 4: the left witness is the constant map 1111, and R relates
+    # 59,968 pairs, so is_internal's scan over pairs of related pairs makes
+    # about 3.6e9 checks; that scan alone keeps classify_pair off T4 with
+    # its bijections.
+    assert m.labels[left.witness["a"]] == "1111"
+    assert len(rm.pairs()) == 59_968
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"ACCEPTANCE 3 bijection submonoids reproduction: PASS ({elapsed:.3f}s)")
@@ -209,7 +217,7 @@ def test_criterion_7_hierarchy_suite(corpus):
 
 def test_criterion_8_open_question_report(corpus):
     start = time.perf_counter()
-    report = open_question_report(corpus, moduli_bound=4)
+    report = open_question_report(moduli_bound=4)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     fin = report["finite_vacuity"]

@@ -26,6 +26,7 @@ from finite_oracles import (
     relation_flags,
     translation_preorder,
     unit_insertion_condition,
+    unit_transfer_scan,
 )
 
 A3 = frozenset({0, 3, 4})           # even permutations in the S3 fixture
@@ -62,6 +63,36 @@ def test_unit_insertion_condition(s3, t2):
 def test_unit_transfer_condition_everywhere_finite(t2, t3, s3, z4):
     for m, sub in sample_pairs(t2, t3, s3, z4):
         assert unit_transfer_condition(m, sub).holds
+
+
+def test_unit_transfer_is_closure_under_the_product(t3, t3_submonoids, s3,
+                                                    corpus):
+    """C2 by closure against the scan over unit pairs: the same verdict on
+    every corpus pair, all 699 submonoids of T3 and every subset of S3.  A
+    failure's witness meets the definition, with x = y = 1 and the least
+    (s, t) whose product ts leaves M."""
+    m3 = t3[0]
+    cases = [(pair.monoid, pair.mask) for pair in corpus]
+    cases += [(m3, bits) for bits in t3_submonoids]
+    cases += [(s3, frozenset(i for i in range(6) if bits >> i & 1))
+              for bits in range(64)]
+    assert len(cases) == 219 + 699 + 64
+    failures = 0
+    for m, sub in cases:
+        v = unit_transfer_condition(m, sub)
+        assert v.holds == unit_transfer_scan(m, sub).holds, \
+            (m.name, sorted(sub))
+        if v.holds:
+            continue
+        failures += 1
+        x, y, s, t = (v.witness[k] for k in "xyst")
+        assert m.mul(x, y) == m.identity
+        assert m.mul(x, s) in sub and m.mul(t, y) in sub
+        assert m.mul(t, s) not in sub
+        assert x == y == m.identity
+        assert (s, t) == min((s, t) for s in sub for t in sub
+                             if m.mul(t, s) not in sub)
+    assert failures > 0
 
 
 def test_normal_submonoid(t2, t3, s3):

@@ -19,16 +19,20 @@ from clotkit.monoid import (
     enumerate_submonoids,
     full_transformation_monoid,
     group_verdict,
+    inverses,
     monoid_from_dict,
     monoid_from_transformations,
     monoid_to_dict,
     restrict_to_submonoid,
     submonoid_closure,
     subset_group_verdict,
-    unit_pairs,
     validate_monoid,
 )
-from finite_oracles import is_dedekind_finite, pairwise_submonoid_closure
+from finite_oracles import (
+    is_dedekind_finite,
+    pairwise_submonoid_closure,
+    unit_pairs,
+)
 
 Z2_TABLE = [[0, 1], [1, 0]]
 
@@ -300,6 +304,18 @@ def test_dedekind_finite_product_conjunction(t2):
     assert prod.order == m.order * 3
     assert is_dedekind_finite(prod).holds == (
         is_dedekind_finite(m).holds and is_dedekind_finite(cyclic_group(3)).holds)
+
+
+def test_inverses_are_the_factorizations_of_one(corpus):
+    # one scan of the table against the oracle's scan of every product, on
+    # every corpus monoid and on T4: the same pairs, and x -> x^-1 is an
+    # involution
+    t4, _ = full_transformation_monoid(4)
+    for m in {pair.monoid for pair in corpus} | {t4}:
+        inverse = inverses(m)
+        assert sorted(inverse.items()) == unit_pairs(m), m.name
+        assert all(inverse[y] == x for x, y in inverse.items()), m.name
+    assert len(inverses(t4)) == 24
 
 
 def test_subset_is_group(t2):

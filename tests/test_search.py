@@ -135,12 +135,6 @@ def test_strictness_search_accepts_exactly_the_edges(corpus):
     assert accepted == set(IMPLICATIONS) and len(accepted) == 15
 
 
-def test_open_question_report_empty_corpus():
-    report = open_question_report(Corpus(()), moduli_bound=1)
-    assert report["finite_vacuity"]["pairs_checked"] == 0
-    assert report["finite_vacuity"]["clot_pairs"] == 0
-
-
 def test_open_question_report_rejects_moduli_outside_the_ceiling(
         monkeypatch):
     # refused before the default corpus is built
@@ -151,7 +145,7 @@ def test_open_question_report_rejects_moduli_outside_the_ceiling(
 
 
 def test_open_question_report_small_bound(corpus):
-    report = open_question_report(corpus, moduli_bound=2)
+    report = open_question_report(moduli_bound=2)
     fin = report["finite_vacuity"]
     assert fin["pairs_checked"] == len(corpus)
     assert fin["violations"] == []
@@ -165,13 +159,13 @@ def test_open_question_report_small_bound(corpus):
     assert any("(1,1)" in s for s in hunt["interleaved_insertion_passes"])
 
 
-def test_hunt_runs_no_bounded_compatibility_search(corpus, monkeypatch):
+def test_hunt_runs_no_bounded_compatibility_search(monkeypatch):
     # C1 of each residue submonoid comes from classify_bicyclic, exactly
     def refuse(*args):
         raise AssertionError("the hunt ran b_internality_search")
 
     monkeypatch.setattr(bc, "b_internality_search", refuse)
-    hunt = open_question_report(corpus, moduli_bound=4)["bicyclic_candidates"]
+    hunt = open_question_report(moduli_bound=4)["bicyclic_candidates"]
     assert hunt["candidates"] == [] and hunt["mode"] == "bounded"
 
 
@@ -199,7 +193,7 @@ def _finite_vacuity_by_classification(corpus):
 
 
 def test_finite_vacuity_matches_classification(corpus):
-    fin = open_question_report(corpus, moduli_bound=1)["finite_vacuity"]
+    fin = open_question_report(moduli_bound=1)["finite_vacuity"]
     assert (fin["clot_pairs"], fin["violations"]) == \
         _finite_vacuity_by_classification(corpus)
 
@@ -212,7 +206,7 @@ def test_finite_vacuity_builds_no_syntactic_relation(corpus, monkeypatch):
 
     clots = sum(report.holds("C0.5") for report in corpus.reports)
     monkeypatch.setattr(relations, "_context_vectors", refuse)
-    fin = open_question_report(corpus, moduli_bound=1)["finite_vacuity"]
+    fin = open_question_report(moduli_bound=1)["finite_vacuity"]
     assert (fin["clot_pairs"], fin["violations"]) == (clots, [])
 
 
