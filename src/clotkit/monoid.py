@@ -47,48 +47,13 @@ class OrderCapExceeded(MonoidError):
     pass
 
 
-class _Record:
-    """Immutable record for one that cannot be a tuple: __init__ sets the
-    fields named in _fields once, and equality within one class, hashing
-    and repr go by their values."""
+class FiniteMonoid(NamedTuple):
+    """Immutable Cayley-table monoid; table[i][j] is the index of e_i * e_j."""
 
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *_value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        same = type(other) is type(self)
-        return self._values() == other._values() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class FiniteMonoid(_Record):
-    """Immutable Cayley-table monoid; table[i][j] is the index of e_i * e_j.
-    A weak reference to one shows when no caller holds it any more."""
-
-    _fields = ("table", "identity", "labels", "name")
-    __slots__ = (*_fields, "__weakref__")
-
-    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int,
-                 labels: tuple[str, ...], name: str = "M"):
-        super().__init__(table, identity, labels, name)
+    table: tuple[tuple[int, ...], ...]
+    identity: int
+    labels: tuple[str, ...]
+    name: str = "M"
 
     @property
     def order(self) -> int:
@@ -235,46 +200,45 @@ def cyclic_group(n: int) -> FiniteMonoid:
 
 def restrict_to_submonoid(m: FiniteMonoid, subset: Iterable[int],
                           name: Optional[str] = None) -> FiniteMonoid:
-    """Standalone monoid on a subset that contains the identity and is
-    closed under the product; element order follows sorted indices."""
-    elems = list(SubmonoidMask(m, frozenset(subset)))
+    """Standalone monoid on a submonoid, given by its indices or its mask;
+    element order follows sorted indices."""
+    bits = frozenset(getattr(subset, "bits", subset))
+    elems = sorted(SubmonoidMask(m, bits).bits)
     pos = {e: i for i, e in enumerate(elems)}
     table = tuple(tuple(pos[m.table[i][j]] for j in elems) for i in elems)
     labels = tuple(m.labels[i] for i in elems)
     return FiniteMonoid(table, pos[m.identity], labels, name or f"{m.name}|sub")
 
 
-class SubmonoidMask(_Record):
-    """Subset of a monoid certified to contain 1 and be closed under product."""
+class _MaskFields(NamedTuple):
+    parent: FiniteMonoid
+    bits: frozenset[int]
 
-    __slots__ = _fields = ("parent", "bits")
+
+class SubmonoidMask(_MaskFields):
+    """Subset of a monoid certified to contain 1 and be closed under product;
+    a failure names the least product, in ascending order, that leaves it."""
+
+    __slots__ = ()
 
     def __init__(self, parent: FiniteMonoid, bits: frozenset[int]):
-        for i in bits:
+        members = sorted(bits)
+        for i in members:
             if not 0 <= i < parent.order:
                 raise IndexOutOfRange(f"element {i} outside monoid")
         if parent.identity not in bits:
             raise MonoidError("submonoid must contain the identity")
         table = parent.table
-        for i in bits:
-            for j in bits:
+        for i in members:
+            for j in members:
                 if table[i][j] not in bits:
                     raise MonoidError(
                         f"not closed under product: {i}*{j} = {table[i][j]}")
-        super().__init__(parent, bits)
 
     @classmethod
     def _closed(cls, parent: FiniteMonoid, bits: frozenset) -> SubmonoidMask:
         """The mask of a set closed by construction, without the |S|² check."""
-        mask = object.__new__(cls)
-        _Record.__init__(mask, parent, bits)
-        return mask
-
-    def __iter__(self):
-        return iter(sorted(self.bits))
-
-    def __len__(self):
-        return len(self.bits)
+        return tuple.__new__(cls, (parent, bits))
 
 
 def _right_orbit(one, generators, times) -> list:
@@ -296,8 +260,8 @@ def _right_orbit(one, generators, times) -> list:
 
 
 def submonoid_closure(m: FiniteMonoid, seed: Iterable[int]) -> SubmonoidMask:
-    """Smallest submonoid containing the seed: the right orbit of 1."""
-    gens = sorted(set(seed))
+    """Smallest submonoid holding the seed, indices or a mask: 1's orbit."""
+    gens = sorted(set(getattr(seed, "bits", seed)))
     bad = [g for g in gens if not 0 <= g < m.order]
     if bad:  # refused here, as table[x][g] would wrap a negative index
         raise IndexOutOfRange(f"element {bad[0]} outside monoid")

@@ -1,7 +1,9 @@
 import gc
 import json
-import weakref
+import sys
 from itertools import product
+
+import pytest
 
 from clotkit.bicyclic import (
     ONE,
@@ -30,6 +32,7 @@ from clotkit.classify import (
 from clotkit.clots import is_clot
 from clotkit.monoid import (
     FiniteMonoid,
+    MonoidError,
     full_transformation_monoid,
     subset_group_verdict,
 )
@@ -387,6 +390,19 @@ def test_finite_pairs_make_upper_chain_collapse(corpus):
         assert report.holds("C0.5") == report.holds("C(1,0)")
 
 
+@pytest.mark.parametrize("words, cause", [
+    (("21",), "submonoid must contain the identity"),
+    (("11", "12", "21"), "not closed under product: 2*0 = 3"),  # 21·11 = 22
+])
+def test_classify_pair_refuses_a_non_submonoid(t2, words, cause):
+    # C2 is read from C3 ⊆ C2, so a subset that is not a submonoid, which
+    # would break that edge, is refused rather than classified
+    m, _ = t2
+    with pytest.raises(MonoidError) as raised:
+        classify_pair(m, frozenset(m.labels.index(w) for w in words))
+    assert str(raised.value) == cause
+
+
 def test_c3_is_the_theorem_the_dedekind_scan_confirms(corpus):
     # classify_pair sets C3 by theorem, an exact pass with no witness; the
     # unit-pair scan is its oracle, on every corpus monoid and on T4
@@ -399,16 +415,16 @@ def test_c3_is_the_theorem_the_dedekind_scan_confirms(corpus):
 
 
 def test_no_state_outlives_a_call():
-    # renamed so that it equals no monoid another test has used
+    # renamed so that it equals no monoid another test has used; a tuple
+    # takes no weak reference, so its reference count shows what is kept
     m, named = full_transformation_monoid(2)
     m = FiniteMonoid(m.table, m.identity, m.labels, "T2, dropped after use")
     sub = named["bijections"]
+    before = sys.getrefcount(m)
     classify_pair(m, sub)
     for build in (syntactic_congruence, syntactic_preorder,
                   syntactic_reflexive_relation):
         build(m, sub)
     is_clot(m, sub)
-    ref = weakref.ref(m)
-    del m
     gc.collect()
-    assert ref() is None
+    assert sys.getrefcount(m) == before
