@@ -213,9 +213,11 @@ def cmd_bicyclic(args):
         raise InputError(str(exc)) from exc
     out: dict = {"submonoid": sub.describe()}
     if args.check_rm:
+        parts = args.check_rm.split(",")
+        if len(parts) != 2:
+            raise InputError(f"--check-rm expects A,B; got {args.check_rm!r}")
         try:
-            a_str, b_str = args.check_rm.split(",")
-            a, b = bc.parse_element(a_str), bc.parse_element(b_str)
+            a, b = map(bc.parse_element, parts)
         except (ValueError, bc.BicyclicError) as exc:
             raise InputError(f"bad --check-rm argument: {exc}") from exc
         verdict = bc.b_rm_related(a, b, sub)

@@ -1,16 +1,15 @@
 """Syntactic relations on a finite monoid, stored as bit-matrix relations.
 
-For a subset M of a monoid A, three relations are built from context sets:
+For a subset M of a monoid A, three relations are defined:
 
 * the syntactic congruence:  a ~ b  iff  (xay in M <=> xby in M) for all x, y;
 * the syntactic preorder:    a <= b iff  (xay in M  => xby in M) for all x, y;
 * the reflexive syntactic relation: a R b iff (xay = 1 => xby in M) for all x, y.
 
-Each element's context is the set of pairs (x, y) with xay in M (resp. = 1),
-packed into a single integer with bit x*n + y set.  Relation rows are packed
-the same way: bit b of rows[a] says whether a is related to b.  The preorder
-and R share one row kernel: a S b iff left[a] is a subset of ctx[b], where
-left is ctx itself for the preorder and the contexts of {1} for R.
+The congruence and the preorder compare contexts, each the set of pairs
+(x, y) with xay in M packed into an integer with bit x*n + y set; R is read
+from the units (syntactic_reflexive_relation).  Rows are bitmasks too: bit
+b of rows[a] says whether a S b.
 
 Nothing is cached between calls: each builder computes its relation from
 the table, and a result lives as long as its caller keeps it.
@@ -117,22 +116,8 @@ def _context_vectors(m: "FiniteMonoid", subset: frozenset) -> tuple[int, ...]:
     table = m.table
     # bit y of mem[z]: z*y in subset
     mem = [sum(1 << y for y in range(n) if tz[y] in subset) for tz in table]
-    return tuple(
-        _or_shifted([mem[table[x][a]] for x in range(n)], n) for a in range(n)
-    )
-
-
-def _or_shifted(rows: list[int], width: int) -> int:
-    v = 0
-    for x, r in enumerate(rows):
-        v |= r << (x * width)
-    return v
-
-
-def _inclusion_rows(left: tuple[int, ...], ctx: tuple[int, ...]) -> tuple:
-    """Rows of the relation a S b iff left[a] is a subset of ctx[b]."""
-    return tuple(sum(1 << b for b, cb in enumerate(ctx) if la & cb == la)
-                 for la in left)
+    return tuple(sum(mem[table[x][a]] << x * n for x in range(n))
+                 for a in range(n))
 
 
 def syntactic_congruence(m: "FiniteMonoid", subset) -> Relation:
@@ -148,14 +133,27 @@ def syntactic_congruence(m: "FiniteMonoid", subset) -> Relation:
 def syntactic_preorder(m: "FiniteMonoid", subset) -> Relation:
     """Relation ordering elements by context-set inclusion relative to M."""
     ctx = _context_vectors(m, as_subset(m, subset))
-    return Relation(m, _inclusion_rows(ctx, ctx), "preorder-candidate")
+    return Relation(m, tuple(sum(1 << b for b, cb in enumerate(ctx)
+                                 if ca & cb == ca) for ca in ctx),
+                    "preorder-candidate")
 
 
 def syntactic_reflexive_relation(m: "FiniteMonoid", subset) -> Relation:
-    """a related to b iff every factorization x*a*y = 1 gives x*b*y in M."""
-    one_ctx = _context_vectors(m, frozenset({m.identity}))
-    ctx = _context_vectors(m, as_subset(m, subset))
-    return Relation(m, _inclusion_rows(one_ctx, ctx), "reflexive-candidate")
+    """a related to b iff every factorization x*a*y = 1 gives x*b*y in M.
+    These are (x, a, (x*a)^-1) for the units x if a is a unit, and none
+    otherwise: a non-unit's row is full, and a unit a's row is K*a, the
+    distinct k*a for k in K = {k : x*k*x^-1 in M for every unit x}."""
+    from .monoid import inverses
+
+    sub = as_subset(m, subset)
+    table = m.table
+    inverse = inverses(m)
+    zero = [k for k in range(m.order)
+            if all(table[table[x][k]][y] in sub for x, y in inverse.items())]
+    rows = [(1 << m.order) - 1] * m.order
+    for a in inverse:
+        rows[a] = sum(1 << table[k][a] for k in zero)
+    return Relation(m, tuple(rows), "reflexive-candidate")
 
 
 def zero_class(rel: Relation) -> frozenset[int]:

@@ -8,6 +8,8 @@ oracles for the decision procedures in clotkit.
 * `unit_transfer_scan`: C2 by a scan over unit pairs, which a finite
   monoid passes exactly on the subsets closed under the product;
 * `unit_insertion_condition`: C0 by a scan over unit pairs;
+* `context_reflexive_relation`: the reflexive syntactic relation by
+  inclusion of context sets, the factorizations of 1 in those of M;
 * `interleaved_insertion_bounded`: identity factorizations absorbing
   interleaved members, a breadth-first re-derivation of clot status;
 * `is_conjugation_closed`: clot status on a group, by conjugation;
@@ -31,7 +33,13 @@ from typing import Optional
 
 from clotkit import bicyclic as bc
 from clotkit.monoid import FiniteMonoid, MonoidError
-from clotkit.relations import Relation, Verdict, _bits, as_subset
+from clotkit.relations import (
+    Relation,
+    Verdict,
+    _bits,
+    _context_vectors,
+    as_subset,
+)
 
 
 class NotAGroup(MonoidError):
@@ -88,6 +96,17 @@ def unit_insertion_condition(m: FiniteMonoid, subset) -> Verdict:
                 return Verdict(False, witness={"x": x, "y": y, "u": u},
                                note="scan over unit pairs")
     return Verdict(True, note="scan over unit pairs")
+
+
+def context_reflexive_relation(m: FiniteMonoid, subset) -> Relation:
+    """a R b iff every (x, y) with x*a*y = 1 has x*b*y in M, as inclusion
+    of packed context sets (bit x*n + y): one context vector per element
+    for {1} and one for M, then one subset test per pair (a, b)."""
+    one_ctx = _context_vectors(m, frozenset({m.identity}))
+    ctx = _context_vectors(m, as_subset(m, subset))
+    return Relation(m, tuple(sum(1 << b for b, cb in enumerate(ctx)
+                                 if la & cb == la) for la in one_ctx),
+                    "reflexive-candidate")
 
 
 def _pair_reach(m: FiniteMonoid, sub: frozenset, nmax: int):

@@ -116,6 +116,13 @@ def test_classify_json_shape_follows_the_option(tmp_path, t2_file, capsys):
       "yxz"), "bad character 'z' in word"),
     (("classify", "T2", "--submonoid", "bijections", "--all-submonoids"),
      "give --submonoid or --all-submonoids, not both"),
+    (("bicyclic", "--mod", "2,2", "--residues", "(0,0)", "--check-rm",
+      "y1x1"), "--check-rm expects A,B; got 'y1x1'"),
+    (("bicyclic", "--mod", "2,2", "--residues", "(0,0)", "--check-rm",
+      "y1x1,y2x2,y3x3"), "--check-rm expects A,B; got 'y1x1,y2x2,y3x3'"),
+    (("bicyclic", "--mod", "2,2", "--residues", "(0,0)", "--check-rm",
+      "y1x1,zz"),
+     "bad --check-rm argument: bad element syntax: 'zz' (expected yNxM)"),
 ])
 def test_bad_arguments_exit_2(t2_file, capsys, args, message):
     args = [t2_file if a == "T2" else a for a in args]

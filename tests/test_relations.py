@@ -1,17 +1,21 @@
 """The bit-matrix relations against a direct brute-force oracle."""
 
 import json
+import random
 
 from clotkit.cli import RELATION_BUILDERS, main
+from clotkit.clots import is_clot
 from clotkit.monoid import (
     cyclic_group,
     enumerate_submonoids,
     full_transformation_monoid,
+    inverses,
     monoid_to_dict,
     validate_monoid,
 )
 from clotkit.relations import (
     Verdict,
+    _bits,
     internal_reflexive_closure,
     is_internal,
     syntactic_congruence,
@@ -19,7 +23,7 @@ from clotkit.relations import (
     syntactic_reflexive_relation,
     zero_class,
 )
-from finite_oracles import relation_flags
+from finite_oracles import context_reflexive_relation, relation_flags
 
 
 def naive_relation(m, subset, kind):
@@ -115,6 +119,60 @@ def test_congruence_is_preorder_meet_transpose(t2, s3):
         both = [[pre.related(a, b) and pre.related(b, a)
                  for b in range(m.order)] for a in range(m.order)]
         assert cong.matrix() == both
+
+
+def reflexive_cases(corpus, t3, t3_submonoids, s3):
+    """The default corpus, the 699 submonoids of T3, 300 seeded random
+    subsets of T3 (some without the identity), the 64 subsets of S3 and T4
+    with its bijections."""
+    m3 = t3[0]
+    rng = random.Random(20261020)
+    cases = [(p.monoid, p.mask) for p in corpus]
+    cases += [(m3, bits) for bits in t3_submonoids]
+    cases += [(m3, frozenset(rng.sample(range(27), rng.randint(0, 27))))
+              for _ in range(300)]
+    cases += [(s3, frozenset(_bits(mask))) for mask in range(64)]
+    t4, named4 = full_transformation_monoid(4)
+    cases.append((t4, frozenset(named4["bijections"])))
+    return cases
+
+
+def test_reflexive_relation_matches_context_oracle(corpus, t3, t3_submonoids,
+                                                   s3):
+    cases = reflexive_cases(corpus, t3, t3_submonoids, s3)
+    random_t3 = cases[len(corpus) + 699:len(corpus) + 999]
+    assert len(cases) == len(corpus) + 699 + 300 + 64 + 1
+    assert {t3[0].identity in sub for _, sub in random_t3} == {True, False}
+    for m, sub in cases:
+        rel = syntactic_reflexive_relation(m, sub)
+        assert rel == context_reflexive_relation(m, sub), (m.name, sorted(sub))
+
+
+def test_reflexive_relation_rows_are_full_or_translated_zero_classes(
+        corpus, t3, t3_submonoids, s3):
+    # x*a*y = 1 only for units, as (x, a, (x*a)^-1): a non-unit's row is A,
+    # a unit a's row is K*a, K the zero-class, so |R| = (n - |G|)*n + |G|*|K|
+    for m, sub in reflexive_cases(corpus, t3, t3_submonoids, s3):
+        units = inverses(m)
+        rel = syntactic_reflexive_relation(m, sub)
+        zc = zero_class(rel)
+        for a in range(m.order):
+            row = set(_bits(rel.rows[a]))
+            if a in units:
+                assert row == {m.table[k][a] for k in zc}, (m.name, a)
+            else:
+                assert row == set(range(m.order)), (m.name, a)
+        assert len(rel.pairs()) == ((m.order - len(units)) * m.order
+                                    + len(units) * len(zc))
+
+
+def test_c0_iff_clot_on_finite_submonoids(corpus, t3, t3_submonoids):
+    # both say that M is closed under conjugation by units
+    cases = [(p.monoid, p.mask) for p in corpus]
+    cases += [(t3[0], bits) for bits in t3_submonoids]
+    for m, sub in cases:
+        zc = zero_class(syntactic_reflexive_relation(m, sub))
+        assert (zc == sub) == is_clot(m, sub).holds, (m.name, sorted(sub))
 
 
 def test_reflexive_relation_on_group_tracks_parity(s3):

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from clotkit import bicyclic as bc
-from clotkit import monoid, relations, search
+from clotkit import classify, monoid, relations, search
 from clotkit.classify import (
     FLAG_ORDER,
     IMPLICATIONS,
@@ -200,12 +200,14 @@ def test_finite_vacuity_matches_classification(corpus):
 
 def test_finite_vacuity_builds_no_syntactic_relation(corpus, monkeypatch):
     # C(1,0) of a clot holds by theorem, so the finite section counts clots
-    # with is_clot and builds no syntactic relation
+    # with is_clot and builds no syntactic relation: not R, which classify
+    # binds, nor the congruence or the preorder, built from context vectors
     def refuse(*args):
         raise AssertionError("the hunt built a syntactic relation")
 
     clots = sum(report.holds("C0.5") for report in corpus.reports)
     monkeypatch.setattr(relations, "_context_vectors", refuse)
+    monkeypatch.setattr(classify, "syntactic_reflexive_relation", refuse)
     fin = open_question_report(moduli_bound=1)["finite_vacuity"]
     assert (fin["clot_pairs"], fin["violations"]) == (clots, [])
 
