@@ -1,6 +1,6 @@
 """Deciding normal submonoids, positive cones and clots via syntactic
 relations, with exact symbolic counterexamples in the bicyclic monoid and
-in the endofunctions of the naturals.
+a closed-form one in the endofunctions of the naturals.
 
 Importing the package loads none of its modules: a module is loaded when
 it, or a name below that it defines, is first used (PEP 562), so
@@ -27,8 +27,7 @@ _EXPORTS = {
     "bicyclic": """BicyclicElement ResidueSubmonoid b_internality_search
         b_rm_related bmul bword_normal_form parity_submonoid
         residue_submonoid""".split(),
-    "natfuncs": """EventuallyAffineMap doubling_refutation_report ea
-        ea_compose ea_in_doubling_submonoid""".split(),
+    "natfuncs": ["doubling_refutation_report"],
     "classify": """ClassificationReport check_consistency classify_bicyclic
         classify_pair""".split(),
     "search": """Corpus build_corpus default_corpus open_question_report

@@ -59,6 +59,7 @@ class BicyclicElement(_Exponents):
 ONE = BicyclicElement(0, 0)
 X = BicyclicElement(0, 1)
 Y = BicyclicElement(1, 0)
+MAX_DIGITS = 100  # of a number in text; int() refuses more than 4,300
 
 
 def _mul(n1: int, m1: int, n2: int, m2: int) -> tuple[int, int]:
@@ -83,9 +84,10 @@ def parse_element(text: str) -> BicyclicElement:
     t = text.strip()
     if t == "1":
         return ONE
-    match = re.fullmatch(r"y(\d+)x(\d+)", t)
+    match = re.fullmatch(rf"y(\d{{1,{MAX_DIGITS}}})x(\d{{1,{MAX_DIGITS}}})", t)
     if not match:
-        raise BicyclicError(f"bad element syntax: {text!r} (expected yNxM)")
+        raise BicyclicError(f"bad element syntax: {text!r} (expected yNxM), "
+                            f"N and M of at most {MAX_DIGITS} digits")
     return BicyclicElement(int(match.group(1)), int(match.group(2)))
 
 

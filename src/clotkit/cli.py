@@ -53,7 +53,8 @@ RELATION_BUILDERS = {
 }
 
 # one residue (r,s) of --residues
-RESIDUE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+RESIDUE = re.compile(rf"\(\s*(\d{{1,{bc.MAX_DIGITS}}})\s*,"
+                     rf"\s*(\d{{1,{bc.MAX_DIGITS}}})\s*\)")
 # text forms of bicyclic witnesses, filled from their JSON form
 RM_WITNESS = "witness ({x}, {y}) product {product}"
 C1_WITNESS = ("pairs ({pair1[0]},{pair1[1]}) and ({pair2[0]},{pair2[1]}) "
@@ -192,7 +193,8 @@ def _parse_residues(text: str) -> set[tuple[int, int]]:
         match = RESIDUE.fullmatch(token.strip())
         if not match:
             raise InputError(f"bad residue {token.strip()!r} in --residues "
-                             f"{text!r}: expected (r,s) with r, s >= 0")
+                             f"{text!r}: expected (r,s) with r, s >= 0 "
+                             f"of at most {bc.MAX_DIGITS} digits")
         residues.add((int(match.group(1)), int(match.group(2))))
     return residues
 
@@ -273,12 +275,12 @@ def _example_bicyclic() -> tuple[list[str], bool]:
 
 
 def _example_doubling() -> tuple[list[str], bool]:
-    from .natfuncs import doubling_refutation_report, ea_to_literal
+    from .natfuncs import doubling_refutation_report
 
     report = doubling_refutation_report(5)
     lines = [f"  f*g = identity: {str(report.fg_is_identity).lower()}"]
-    for n, h in enumerate(report.composites, start=1):
-        lines.append(f"  f*u^{n}*g = {ea_to_literal(h)}: "
+    for n, (slope, offset) in enumerate(report.composites, start=1):
+        lines.append(f"  f*u^{n}*g = affine({slope},{offset},1){{}}: "
                      f"outside the doubling submonoid")
     return lines, report.passed
 

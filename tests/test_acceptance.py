@@ -14,12 +14,7 @@ from clotkit.classify import (
 )
 from clotkit.clots import homogeneity, is_clot, is_normal_submonoid
 from clotkit.monoid import full_transformation_monoid, group_verdict
-from clotkit.natfuncs import (
-    doubling_refutation_report,
-    ea,
-    ea_compose,
-    ea_in_doubling_submonoid,
-)
+from clotkit.natfuncs import doubling_refutation_report
 from clotkit.relations import (
     is_internal,
     syntactic_congruence,
@@ -37,6 +32,15 @@ from finite_oracles import (
     is_conjugation_closed,
     relation_flags,
     unit_insertion_condition,
+)
+from natfuncs_oracle import (
+    DOUBLING,
+    SHIFT_DOWN,
+    SHIFT_UP,
+    ea,
+    ea_compose,
+    ea_in_doubling_submonoid,
+    ea_power,
 )
 
 
@@ -74,8 +78,9 @@ def test_criterion_2_doubling_example_reproduction():
     report = doubling_refutation_report(5)
     assert report.fg_is_identity
     assert len(report.composites) == 5
-    for n, h in enumerate(report.composites, start=1):
-        assert h == ea(2 ** n, 2 ** n - 1)
+    for n, (slope, offset) in enumerate(report.composites, start=1):
+        h = ea_compose(SHIFT_DOWN, ea_compose(ea_power(DOUBLING, n), SHIFT_UP))
+        assert ea(slope, offset) == h == ea(2 ** n, 2 ** n - 1)
         assert ea_in_doubling_submonoid(h) is None
     assert report.passed
     elapsed = time.perf_counter() - start

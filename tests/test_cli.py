@@ -15,6 +15,9 @@ from clotkit.monoid import full_transformation_monoid, monoid_to_dict
 from clotkit.relations import witness_json
 from clotkit.search import _closed_residue_submonoids
 
+# a number longer than the 4,300 digits int() converts
+BIG = "9" * 5000
+
 
 @pytest.fixture()
 def t2_file(tmp_path):
@@ -123,6 +126,16 @@ def test_classify_json_shape_follows_the_option(tmp_path, t2_file, capsys):
     (("bicyclic", "--mod", "2,2", "--residues", "(0,0)", "--check-rm",
       "y1x1,zz"),
      "bad --check-rm argument: bad element syntax: 'zz' (expected yNxM)"),
+    # more digits than int() takes: the parsers stop at MAX_DIGITS first
+    pytest.param(("bicyclic", "--mod", "2,2", "--residues", f"(0,{BIG})"),
+                 f"bad residue '(0,{BIG})' in --residues '(0,{BIG})': "
+                 "expected (r,s) with r, s >= 0 of at most 100 digits",
+                 id="residue-too-long"),
+    pytest.param(("bicyclic", "--mod", "2,2", "--residues", "(0,0)",
+                  "--check-rm", f"y{BIG}x1,y1x1"),
+                 f"bad --check-rm argument: bad element syntax: 'y{BIG}x1' "
+                 "(expected yNxM), N and M of at most 100 digits",
+                 id="exponent-too-long"),
 ])
 def test_bad_arguments_exit_2(t2_file, capsys, args, message):
     args = [t2_file if a == "T2" else a for a in args]

@@ -23,8 +23,7 @@ PUBLIC_NAMES = """
     unit_transfer_condition
     BicyclicElement ResidueSubmonoid b_internality_search b_rm_related
     bmul bword_normal_form parity_submonoid residue_submonoid
-    EventuallyAffineMap doubling_refutation_report ea ea_compose
-    ea_in_doubling_submonoid
+    doubling_refutation_report
     ClassificationReport check_consistency classify_bicyclic classify_pair
     Corpus build_corpus default_corpus open_question_report
     strictness_search

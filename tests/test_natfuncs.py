@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clotkit.natfuncs import (
+from clotkit.natfuncs import doubling_refutation_report
+from natfuncs_oracle import (
     DOUBLING,
     IDENTITY,
     SHIFT_DOWN,
     SHIFT_UP,
-    doubling_refutation_report,
     ea,
     ea_compose,
     ea_in_doubling_submonoid,
@@ -125,10 +125,24 @@ def test_refutation_report():
     report = doubling_refutation_report(5)
     assert report.passed and report.fg_is_identity
     assert len(report.composites) == 5
-    for n, h in enumerate(report.composites, start=1):
-        assert h.slope == 2 ** n
-        assert h.offset == 2 ** n - 1
+    for n, (slope, offset) in enumerate(report.composites, start=1):
+        assert (slope, offset) == (2 ** n, 2 ** n - 1)
+        assert ea_in_doubling_submonoid(ea(slope, offset)) is None
+
+
+def test_refutation_report_matches_the_calculus():
+    # each closed form against f*(2^n * -)*g composed in the calculus, and
+    # the literal paper-examples prints against the calculus' own
+    report = doubling_refutation_report(64)
+    assert report.passed
+    assert report.fg_is_identity == (ea_compose(SHIFT_DOWN, SHIFT_UP)
+                                     == IDENTITY)
+    assert len(report.composites) == 64
+    for n, (slope, offset) in enumerate(report.composites, start=1):
+        h = ea_compose(SHIFT_DOWN, ea_compose(ea_power(DOUBLING, n), SHIFT_UP))
+        assert h == ea(slope, offset)
         assert ea_in_doubling_submonoid(h) is None
+        assert ea_to_literal(h) == f"affine({slope},{offset},1){{}}"
 
 
 def test_refutation_report_vacuous():
