@@ -80,13 +80,19 @@ def _elements(*pairs) -> tuple[BicyclicElement, ...]:
     return tuple(BicyclicElement(*e) for e in pairs)
 
 
+def clipped_repr(text: str) -> str:
+    """repr of text, over 40 characters cut to 16 + '...' + the last 16."""
+    return repr(text if len(text) <= 40 else f"{text[:16]}...{text[-16:]}")
+
+
 def parse_element(text: str) -> BicyclicElement:
     t = text.strip()
     if t == "1":
         return ONE
     match = re.fullmatch(rf"y(\d{{1,{MAX_DIGITS}}})x(\d{{1,{MAX_DIGITS}}})", t)
     if not match:
-        raise BicyclicError(f"bad element syntax: {text!r} (expected yNxM), "
+        raise BicyclicError(f"bad element syntax: {clipped_repr(text)} "
+                            "(expected yNxM), "
                             f"N and M of at most {MAX_DIGITS} digits")
     return BicyclicElement(int(match.group(1)), int(match.group(2)))
 

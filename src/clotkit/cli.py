@@ -192,8 +192,9 @@ def _parse_residues(text: str) -> set[tuple[int, int]]:
     for token in re.split(r",(?![^()]*\))", body):
         match = RESIDUE.fullmatch(token.strip())
         if not match:
-            raise InputError(f"bad residue {token.strip()!r} in --residues "
-                             f"{text!r}: expected (r,s) with r, s >= 0 "
+            raise InputError(f"bad residue {bc.clipped_repr(token.strip())} "
+                             f"in --residues {bc.clipped_repr(text)}: "
+                             "expected (r,s) with r, s >= 0 "
                              f"of at most {bc.MAX_DIGITS} digits")
         residues.add((int(match.group(1)), int(match.group(2))))
     return residues
@@ -204,7 +205,8 @@ def cmd_bicyclic(args):
         p_str, q_str = args.mod.split(",")
         p, q = int(p_str), int(q_str)
     except ValueError:
-        raise InputError(f"--mod expects P,Q; got {args.mod!r}") from None
+        raise InputError(f"--mod expects P,Q; got "
+                         f"{bc.clipped_repr(args.mod)}") from None
     ceiling = BOUND_CEILINGS["bicyclic --mod"]
     if not (1 <= p <= ceiling and 1 <= q <= ceiling):
         raise InputError(f"--mod {args.mod}: each modulus must lie in "
@@ -217,7 +219,8 @@ def cmd_bicyclic(args):
     if args.check_rm:
         parts = args.check_rm.split(",")
         if len(parts) != 2:
-            raise InputError(f"--check-rm expects A,B; got {args.check_rm!r}")
+            raise InputError(f"--check-rm expects A,B; got "
+                             f"{bc.clipped_repr(args.check_rm)}")
         try:
             a, b = map(bc.parse_element, parts)
         except (ValueError, bc.BicyclicError) as exc:

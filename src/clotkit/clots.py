@@ -3,7 +3,8 @@
 Checks are scans or closures with deterministic witnesses: loops run in
 ascending index order, and a witness is the least element or the first
 counterexample in that order.  Unit transfer is decided by a theorem: on
-a finite monoid it is the closure of M under the product.
+a finite monoid it is the closure of M under the product.  D and normal
+are read from membership rows, without the syntactic relations.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 from .monoid import FiniteMonoid, _right_orbit, inverses
 from .relations import (
     Verdict,
+    _membership_rows,
     as_subset,
-    # not called here since is_clot takes the unit route; kept bound
-    # because perfbench/spans.py times the closure under this name
+    # not called here, as is_clot and D and normal take shorter routes;
+    # kept bound because perfbench/spans.py times them under these names
     internal_reflexive_closure,  # noqa: F401
-    syntactic_congruence,
-    syntactic_preorder,
-    zero_class,
+    syntactic_congruence,  # noqa: F401
+    syntactic_preorder,  # noqa: F401
     zero_class_verdict,
 )
 
@@ -43,18 +44,28 @@ def unit_transfer_condition(m: FiniteMonoid, subset) -> Verdict:
     return Verdict(True, note="closure scan")
 
 
+def _context_verdict(m: FiniteMonoid, subset, equal: bool, note: str):
+    """Whether M is the zero-class {b : mem[x] in (equal: is) mem[xb] for
+    all x}, mem[xb] = {y : xby in M} being row x of b's context set.  It
+    lies in M if 1 does (x = y = 1): then only M is scanned, else all A."""
+    sub = as_subset(m, subset)
+    mem = _membership_rows(m, sub)
+    scan = sorted(sub) if m.identity in sub else range(m.order)
+    return zero_class_verdict(frozenset(b for b in scan if all(
+        mem[tx[b]] == r if equal else mem[tx[b]] & r == r
+        for tx, r in zip(m.table, mem))), sub, note)
+
+
 def is_normal_submonoid(m: FiniteMonoid, subset) -> Verdict:
     """M equals the zero-class of its syntactic congruence."""
-    return zero_class_verdict(zero_class(syntactic_congruence(m, subset)),
-                              as_subset(m, subset),
-                              "zero-class of syntactic congruence")
+    return _context_verdict(m, subset, True,
+                            "zero-class of syntactic congruence")
 
 
 def is_positive_cone(m: FiniteMonoid, subset) -> Verdict:
     """M equals the zero-class of its syntactic preorder."""
-    return zero_class_verdict(zero_class(syntactic_preorder(m, subset)),
-                              as_subset(m, subset),
-                              "zero-class of syntactic preorder")
+    return _context_verdict(m, subset, False,
+                            "zero-class of syntactic preorder")
 
 
 def is_clot(m: FiniteMonoid, subset) -> Verdict:

@@ -7,9 +7,10 @@ For a subset M of a monoid A, three relations are defined:
 * the reflexive syntactic relation: a R b iff (xay = 1 => xby in M) for all x, y.
 
 The congruence and the preorder compare contexts, each the set of pairs
-(x, y) with xay in M packed into an integer with bit x*n + y set; R is read
-from the units (syntactic_reflexive_relation).  Rows are bitmasks too: bit
-b of rows[a] says whether a S b.
+(x, y) with xay in M packed into an integer with bit x*n + y set; its row
+x is the membership row of xa, from which alone clots reads D and normal.
+R is read from the units (syntactic_reflexive_relation).  Rows are
+bitmasks too: bit b of rows[a] says whether a S b.
 
 Nothing is cached between calls: each builder computes its relation from
 the table, and a result lives as long as its caller keeps it.
@@ -110,13 +111,17 @@ def as_subset(m: "FiniteMonoid", subset) -> frozenset[int]:
     return out
 
 
-def _context_vectors(m: "FiniteMonoid", subset: frozenset) -> tuple[int, ...]:
-    # bit x*n + y of entry a: x*a*y in subset
-    n = m.order
-    table = m.table
+def _membership_rows(m: "FiniteMonoid", subset: frozenset) -> list[int]:
     # bit y of mem[z]: z*y in subset
-    mem = [sum(1 << y for y in range(n) if tz[y] in subset) for tz in table]
-    return tuple(sum(mem[table[x][a]] << x * n for x in range(n))
+    return [sum(1 << y for y, zy in enumerate(tz) if zy in subset)
+            for tz in m.table]
+
+
+def _context_vectors(m: "FiniteMonoid", subset: frozenset) -> tuple[int, ...]:
+    # bit x*n + y of entry a: x*a*y in subset, so row x of a is mem[x*a]
+    n = m.order
+    mem = _membership_rows(m, subset)
+    return tuple(sum(mem[tx[a]] << x * n for x, tx in enumerate(m.table))
                  for a in range(n))
 
 

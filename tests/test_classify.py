@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from clotkit import relations
 from clotkit.bicyclic import (
     ONE,
     X,
@@ -29,11 +30,12 @@ from clotkit.classify import (
     classify_pair,
     report_json,
 )
-from clotkit.clots import is_clot
+from clotkit.clots import is_clot, is_normal_submonoid, is_positive_cone
 from clotkit.monoid import (
     FiniteMonoid,
     MonoidError,
     full_transformation_monoid,
+    restrict_to_submonoid,
     subset_group_verdict,
 )
 from clotkit.search import _closed_residue_submonoids
@@ -388,6 +390,29 @@ def test_finite_pairs_make_upper_chain_collapse(corpus):
     for report in corpus.reports:
         assert report.holds("C3") and report.holds("C2") and report.holds("C1")
         assert report.holds("C0.5") == report.holds("C(1,0)")
+
+
+def test_classify_pair_builds_no_context_vector(corpus, monkeypatch):
+    # D and normal read their zero-classes from membership rows, so only
+    # the relation command packs the n^3-bit context vectors.  On T4 the
+    # C1 scan of classify_pair would cover every pair of R's full non-unit
+    # rows, so D and normal are called there directly; S4 with the four
+    # constants is a monoid of order 28 that classify_pair settles quickly
+    def refuse(*args):
+        raise AssertionError("classify_pair built a context vector")
+
+    monkeypatch.setattr(relations, "_context_vectors", refuse)
+    for pair, report in zip(corpus, corpus.reports):
+        assert classify_pair(pair.monoid, pair.mask) == report, report.pair
+    t4, named4 = full_transformation_monoid(4)
+    s4 = named4["bijections"]
+    assert is_positive_cone(t4, s4) and is_normal_submonoid(t4, s4)
+    constants = {a for a, row in enumerate(t4.table) if len(set(row)) == 1}
+    elements = sorted(s4 | constants)
+    m = restrict_to_submonoid(t4, elements, "S4+constants")
+    sub = frozenset(i for i, a in enumerate(elements) if a in s4)
+    report = classify_pair(m, sub)
+    assert report.holds("D") and report.holds("normal")
 
 
 @pytest.mark.parametrize("words, cause", [

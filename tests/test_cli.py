@@ -126,22 +126,29 @@ def test_classify_json_shape_follows_the_option(tmp_path, t2_file, capsys):
     (("bicyclic", "--mod", "2,2", "--residues", "(0,0)", "--check-rm",
       "y1x1,zz"),
      "bad --check-rm argument: bad element syntax: 'zz' (expected yNxM)"),
-    # more digits than int() takes: the parsers stop at MAX_DIGITS first
+    # more digits than int() takes: the parsers stop at MAX_DIGITS first,
+    # and echo an argument over 40 characters by its two ends
     pytest.param(("bicyclic", "--mod", "2,2", "--residues", f"(0,{BIG})"),
-                 f"bad residue '(0,{BIG})' in --residues '(0,{BIG})': "
+                 f"bad residue '(0,{'9' * 13}...{'9' * 15})' in --residues "
+                 f"'(0,{'9' * 13}...{'9' * 15})': "
                  "expected (r,s) with r, s >= 0 of at most 100 digits",
                  id="residue-too-long"),
     pytest.param(("bicyclic", "--mod", "2,2", "--residues", "(0,0)",
                   "--check-rm", f"y{BIG}x1,y1x1"),
-                 f"bad --check-rm argument: bad element syntax: 'y{BIG}x1' "
+                 "bad --check-rm argument: bad element syntax: "
+                 f"'y{'9' * 15}...{'9' * 14}x1' "
                  "(expected yNxM), N and M of at most 100 digits",
                  id="exponent-too-long"),
+    pytest.param(("bicyclic", "--mod", f"2,{BIG}", "--residues", "(0,0)"),
+                 f"--mod expects P,Q; got '2,{'9' * 14}...{'9' * 16}'",
+                 id="modulus-too-long"),
 ])
 def test_bad_arguments_exit_2(t2_file, capsys, args, message):
     args = [t2_file if a == "T2" else a for a in args]
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert f"error: {message}" in err, err
+    assert len(err) < 300
 
 
 def test_relation_dump(t2_file, capsys):

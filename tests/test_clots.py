@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from clotkit.clots import (
@@ -9,15 +11,20 @@ from clotkit.clots import (
 )
 from clotkit.monoid import (
     FiniteMonoid,
+    enumerate_submonoids,
     full_transformation_monoid,
+    submonoid_closure,
     subset_group_verdict,
 )
 from clotkit.relations import (
     internal_reflexive_closure,
     is_internal,
+    syntactic_congruence,
+    syntactic_preorder,
     syntactic_reflexive_relation,
     witness_json,
     zero_class,
+    zero_class_verdict,
 )
 from finite_oracles import (
     NotAGroup,
@@ -141,6 +148,41 @@ def test_is_clot_matches_orbit_closure(t3, t3_submonoids, s3, corpus):
             (m.name, sorted(sub))
         failures += not v.holds
     assert failures > 0
+
+
+def test_cone_and_normal_match_the_syntactic_relations(t3, t3_submonoids,
+                                                       corpus):
+    """D and normal from membership rows against the zero-classes of the
+    syntactic preorder and congruence: the same whole Verdict on every
+    corpus pair, all 699 submonoids of T3, 300 seeded subsets of T3 (about
+    half without 1, where all of A is scanned), T4 with its bijections,
+    T4 with the submonoid generated by its constants, and five seeded T4
+    submonoids."""
+    m3 = t3[0]
+    t4, named4 = full_transformation_monoid(4)
+    rng = random.Random(1)
+    constants = [a for a, row in enumerate(t4.table) if len(set(row)) == 1]
+    cases = [(pair.monoid, pair.mask) for pair in corpus]
+    cases += [(m3, bits) for bits in t3_submonoids]
+    cases += [(m3, frozenset(rng.sample(range(27), rng.randint(0, 27))))
+              for _ in range(300)]
+    cases.append((t4, frozenset(named4["bijections"])))
+    cases.append((t4, submonoid_closure(t4, constants).bits))
+    cases += [(t4, mask.bits) for mask in
+              rng.sample(enumerate_submonoids(t4, cap=2000).masks, 5)]
+    assert len(cases) == 219 + 699 + 300 + 2 + 5
+    assert sum(m.identity not in sub for m, sub in cases) > 100
+    outcomes = set()
+    for m, sub in cases:
+        cone = zero_class_verdict(zero_class(syntactic_preorder(m, sub)), sub,
+                                  "zero-class of syntactic preorder")
+        normal = zero_class_verdict(
+            zero_class(syntactic_congruence(m, sub)), sub,
+            "zero-class of syntactic congruence")
+        assert is_positive_cone(m, sub) == cone, (m.name, sorted(sub))
+        assert is_normal_submonoid(m, sub) == normal, (m.name, sorted(sub))
+        outcomes.add((cone.holds, normal.holds))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_clot_iff_unit_insertion(t2, t3, s3, z4):
