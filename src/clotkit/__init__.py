@@ -28,8 +28,8 @@ _EXPORTS = {
         b_rm_related bmul bword_normal_form parity_submonoid
         residue_submonoid""".split(),
     "natfuncs": ["doubling_refutation_report"],
-    "classify": """ClassificationReport check_consistency classify_bicyclic
-        classify_pair""".split(),
+    "classify": """ClassificationReport FinitePair check_consistency
+        classify_pair decide""".split(),
     "search": """Corpus build_corpus default_corpus open_question_report
         strictness_search""".split(),
 }

@@ -9,9 +9,10 @@ Key structural fact used throughout: a product X*Y equals 1 exactly when
 X = x^k and Y = y^k for some k, so the factorizations X*(y^s x^t)*Y = 1
 through a fixed middle element are (x^k, y^(t+k-s)) for k >= s.
 
-The hierarchy flags of a residue submonoid are decided exactly by
-classify.classify_bicyclic.  The one bounded scan here that a command
-runs is the hunt's interleaved insertion: refutations exact, passes bounded.
+ResidueSubmonoid.flags states the hierarchy flags its theorems decide,
+and classify.decide settles the rest, so every flag is exact.  The one
+bounded scan here that a command runs is the hunt's interleaved
+insertion: refutations exact, passes bounded.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import re
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional
 
+from .classify import GROUP_M
 from .relations import Verdict
 
 
@@ -80,9 +82,9 @@ def _elements(*pairs) -> tuple[BicyclicElement, ...]:
     return tuple(BicyclicElement(*e) for e in pairs)
 
 
-def clipped_repr(text: str) -> str:
-    """repr of text, over 40 characters cut to 16 + '...' + the last 16."""
-    return repr(text if len(text) <= 40 else f"{text[:16]}...{text[-16:]}")
+def clipped(text: str) -> str:
+    """text, over 40 characters cut to its first 16 + '...' + its last 16."""
+    return text if len(text) <= 40 else f"{text[:16]}...{text[-16:]}"
 
 
 def parse_element(text: str) -> BicyclicElement:
@@ -91,7 +93,7 @@ def parse_element(text: str) -> BicyclicElement:
         return ONE
     match = re.fullmatch(rf"y(\d{{1,{MAX_DIGITS}}})x(\d{{1,{MAX_DIGITS}}})", t)
     if not match:
-        raise BicyclicError(f"bad element syntax: {clipped_repr(text)} "
+        raise BicyclicError(f"bad element syntax: {clipped(text)!r} "
                             "(expected yNxM), "
                             f"N and M of at most {MAX_DIGITS} digits")
     return BicyclicElement(int(match.group(1)), int(match.group(2)))
@@ -151,6 +153,56 @@ class ResidueSubmonoid(NamedTuple):
     def describe(self) -> str:
         res = ",".join(f"({r},{s})" for r, s in sorted(self.residues))
         return f"mod({self.p},{self.q}) residues {{{res}}}"
+
+    @property
+    def name(self) -> str:
+        return f"B:{self.describe()}"
+
+    def flags(self) -> dict[str, Verdict]:
+        """Exact flags of the pair (bicyclic monoid, this submonoid), read
+        off the diagonal form M = Δ_h(S).  When S ≠ Z_h, C1 and C0 fail by
+        the shift argument; on D_h = Δ_h(Z_h), R = ker φ_h.  The README
+        gives both proofs; classify.decide settles the flags they leave."""
+        h, s = self.diagonal_form
+        x_h, y_h = BicyclicElement(0, h), BicyclicElement(h, 0)
+        flags = {
+            "C": Verdict(True),
+            "C3": Verdict(False, witness={"x": X, "y": Y},
+                          note="xy = 1 but yx differs from 1"),
+            # every residue submonoid holds the non-invertible element x^q
+            GROUP_M: Verdict(False, witness={"a": BicyclicElement(0, self.q)},
+                             note="contains a non-invertible power of x"),
+        }
+        if len(s) < h:
+            # u = y^n x^n is the least member whose shift x u y leaves M
+            n = next(n for n in range(1, h + 1)
+                     if n % h in s and n - 1 not in s)
+            u, below = BicyclicElement(n, n), BicyclicElement(n - 1, n - 1)
+            flags["C1"] = Verdict(False, witness={
+                "pair1": (ONE, x_h), "pair2": (ONE, y_h),
+                "order": "second*first", "product": (ONE, bmul(y_h, x_h))},
+                note=f"1 R x^{h} and 1 R y^{h}, but not 1 R y^{h} x^{h}")
+            flags["C0"] = Verdict(False,
+                                  witness={"u": u, "k": 1, "product": below},
+                                  note=f"xuy = {below} is not in M")
+            return flags
+        ker = f"ker φ_{h}"
+        flags.update({
+            "C1": Verdict(True, note=f"R = {ker} is compatible: φ_{h}(y^n "
+                                     f"x^m) = n - m mod {h} is additive"),
+            "C0": Verdict(True, note=f"M = {ker} is the zero-class of "
+                                     f"R = {ker}"),
+            "C2": Verdict(True, note=f"xy = 1 and xs, ty in {ker} give ts "
+                                     f"in {ker}, as φ_{h} is additive"),
+            "normal": Verdict(True, note=f"M = {ker} is the zero-class of "
+                                         f"the syntactic congruence {ker}"),
+            # aM ⊆ Ma fails at a = x, and Ma ⊆ aM at a = y
+            "Dr": Verdict(False, witness={"a": X, "u": y_h},
+                          note=f"au = {bmul(X, y_h)} is not in Mx"),
+            "Dl": Verdict(False, witness={"a": Y, "u": x_h},
+                          note=f"ua = {bmul(x_h, Y)} is in My, not yM"),
+        })
+        return flags
 
 
 def residue_submonoid(p: int, q: int, residues) -> ResidueSubmonoid:
@@ -268,8 +320,8 @@ def b_internality_search(M: ResidueSubmonoid, bound: int) -> Verdict:
     """Bounded search for a compatibility failure of the reflexive syntactic
     relation; returns the first counterexample or a bounded pass.  On the
     whole monoid the relation is total, so compatibility holds exactly.
-    No command calls it: it is the oracle of classify_bicyclic's exact C1,
-    and a layer the benchmark times."""
+    No command calls it: it is the oracle of the exact C1 that decide
+    reports, and a layer the benchmark times."""
     if bound < 1:
         raise BicyclicError("bound must be >= 1")
     if M.is_full:

@@ -21,11 +21,14 @@ operand of C5 and Dh; it is not in FLAG_ORDER, so no output prints it.
 Each flag carries a mode, derived from the verdict: "exact", "bounded"
 (a pass confirmed only up to a stated bound) or "n/a" (not computed for
 this kind of pair).
+
+decide(pair) reports on a pair of any kind: a record with a name and a
+flags() method, such as FinitePair here or bicyclic.ResidueSubmonoid.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .clots import (
     homogeneity,
@@ -51,9 +54,6 @@ from .relations import (
     zero_class,
     zero_class_verdict,
 )
-
-if TYPE_CHECKING:
-    from .bicyclic import ResidueSubmonoid
 
 FLAG_ORDER = (
     "C", "C1", "C2", "C3", "C4", "C5",
@@ -140,83 +140,56 @@ def _infer(flags: dict[str, Verdict]) -> list[str]:
                    flags[n].holds} == {True, False}])
 
 
-def pair_name(m: FiniteMonoid, subset) -> str:
-    bits = sorted(as_subset(m, subset))
-    return f"{m.name}:{{{','.join(str(b) for b in bits)}}}"
+class FinitePair(NamedTuple):
+    """A finite monoid with a subset of its elements, given as indices."""
+
+    monoid: FiniteMonoid
+    bits: frozenset
+
+    @property
+    def name(self) -> str:
+        bits = sorted(as_subset(self.monoid, self.bits))
+        return f"{self.monoid.name}:{{{','.join(str(b) for b in bits)}}}"
+
+    def flags(self) -> dict[str, Verdict]:
+        """Every flag but C2 and the derived ones, all exact; SubmonoidMask
+        raises MonoidError, naming the cause, for a subset that is not a
+        submonoid."""
+        m = self.monoid
+        sub = SubmonoidMask(m, as_subset(m, self.bits)).bits
+        rm = syntactic_reflexive_relation(m, sub)
+        return {
+            GROUP_M: subset_group_verdict(m, sub),
+            "C": Verdict(True),
+            "C1": is_internal(rm),
+            # finite monoids are Dedekind finite (xy = 1 makes z -> xz onto,
+            # so one-to-one, and x(yx) = x1 gives yx = 1); C3 ⊆ C2 sets C2
+            "C3": Verdict(True),
+            "C4": group_verdict(m),
+            "C0": zero_class_verdict(zero_class(rm), sub),
+            "C0.5": is_clot(m, sub),
+            "D": is_positive_cone(m, sub),
+            "Dr": homogeneity(m, sub, "right"),
+            "Dl": homogeneity(m, sub, "left"),
+            "normal": is_normal_submonoid(m, sub),
+        }
+
+
+def decide(pair) -> ClassificationReport:
+    """The report of a pair of any kind: a record with a `name` and a
+    `flags()` method, which returns the flags its theorems decide; the
+    hierarchy settles the rest."""
+    flags = pair.flags()
+    _infer(flags)
+    return ClassificationReport(pair.name, flags)
 
 
 def classify_pair(m: FiniteMonoid, subset) -> ClassificationReport:
-    """Compute every flag for a finite pair, all exact; SubmonoidMask raises
-    MonoidError, naming the cause, for a subset that is not a submonoid."""
-    sub = SubmonoidMask(m, as_subset(m, subset)).bits
-    rm = syntactic_reflexive_relation(m, sub)
-    flags: dict[str, Verdict] = {
-        GROUP_M: subset_group_verdict(m, sub),
-        "C": Verdict(True),
-        "C1": is_internal(rm),
-        # a finite monoid is Dedekind finite: xy = 1 makes z -> xz onto,
-        # hence one-to-one, and x(yx) = x = x1 gives yx = 1; C3 ⊆ C2 sets C2
-        "C3": Verdict(True),
-        "C4": group_verdict(m),
-        "C0": zero_class_verdict(zero_class(rm), sub),
-        "C0.5": is_clot(m, sub),
-        "D": is_positive_cone(m, sub),
-        "Dr": homogeneity(m, sub, "right"),
-        "Dl": homogeneity(m, sub, "left"),
-        "normal": is_normal_submonoid(m, sub),
-    }
-    _infer(flags)
-    # finite flags keep no note: the report gives verdicts and witnesses
-    flags = {n: f._replace(note="") if f.note else f for n, f in flags.items()}
-    return ClassificationReport(pair_name(m, sub), flags)
-
-
-def classify_bicyclic(M: ResidueSubmonoid) -> ClassificationReport:
-    """Exact report for a pair (bicyclic monoid, residue submonoid), read
-    off the diagonal form M = Δ_h(S).  On D_h = Δ_h(Z_h), R = ker φ_h; when
-    S ≠ Z_h, C1 and C0 fail by the shift argument.  The README gives both
-    proofs; the hierarchy settles the flags they leave."""
-    from . import bicyclic as bc
-
-    flags: dict[str, Verdict] = {
-        "C": Verdict(True),
-        "C3": Verdict(False, witness={"x": bc.X, "y": bc.Y},
-                      note="xy = 1 but yx differs from 1"),
-    }
-    h, s = M.diagonal_form
-    x_h, y_h = bc.BicyclicElement(0, h), bc.BicyclicElement(h, 0)
-    if len(s) == h:
-        ker = f"ker φ_{h}"
-        flags.update({
-            "C1": Verdict(True, note=f"R = {ker} is compatible: φ_{h}(y^n "
-                                     f"x^m) = n - m mod {h} is additive"),
-            "C0": Verdict(True, note=f"M = {ker} is the zero-class of "
-                                     f"R = {ker}"),
-            "C2": Verdict(True, note=f"xy = 1 and xs, ty in {ker} give ts "
-                                     f"in {ker}, as φ_{h} is additive"),
-            "normal": Verdict(True, note=f"M = {ker} is the zero-class of "
-                                         f"the syntactic congruence {ker}"),
-            # aM ⊆ Ma fails at a = x, and Ma ⊆ aM at a = y
-            "Dr": Verdict(False, witness={"a": bc.X, "u": y_h},
-                          note=f"au = {bc.bmul(bc.X, y_h)} is not in Mx"),
-            "Dl": Verdict(False, witness={"a": bc.Y, "u": x_h},
-                          note=f"ua = {bc.bmul(x_h, bc.Y)} is in My, not yM"),
-        })
-    else:
-        # u = y^n x^n is the least member whose shift x u y leaves M
-        n = next(n for n in range(1, h + 1) if n % h in s and n - 1 not in s)
-        u, below = bc.BicyclicElement(n, n), bc.BicyclicElement(n - 1, n - 1)
-        flags["C1"] = Verdict(False, witness={
-            "pair1": (bc.ONE, x_h), "pair2": (bc.ONE, y_h),
-            "order": "second*first", "product": (bc.ONE, bc.bmul(y_h, x_h))},
-            note=f"1 R x^{h} and 1 R y^{h}, but not 1 R y^{h} x^{h}")
-        flags["C0"] = Verdict(False, witness={"u": u, "k": 1, "product": below},
-                              note=f"xuy = {below} is not in M")
-    # every residue submonoid contains the non-invertible element x^q
-    flags[GROUP_M] = Verdict(False, witness={"a": bc.BicyclicElement(0, M.q)},
-                             note="contains a non-invertible power of x")
-    _infer(flags)
-    return ClassificationReport(f"B:{M.describe()}", flags)
+    """decide of the finite pair (m, subset), with no notes: the report
+    gives verdicts and witnesses."""
+    pair, flags = decide(FinitePair(m, subset))
+    return ClassificationReport(pair, {
+        n: f._replace(note="") if f.note else f for n, f in flags.items()})
 
 
 def check_consistency(report: ClassificationReport) -> list[str]:

@@ -18,12 +18,7 @@ import re
 import sys
 
 from . import bicyclic as bc
-from .classify import (
-    check_consistency,
-    classify_bicyclic,
-    classify_pair,
-    report_json,
-)
+from .classify import check_consistency, classify_pair, decide, report_json
 from .clots import homogeneity, is_normal_submonoid
 from .monoid import (
     DEFAULT_ENUM_CAP,
@@ -59,13 +54,6 @@ RESIDUE = re.compile(rf"\(\s*(\d{{1,{bc.MAX_DIGITS}}})\s*,"
 RM_WITNESS = "witness ({x}, {y}) product {product}"
 C1_WITNESS = ("pairs ({pair1[0]},{pair1[1]}) and ({pair2[0]},{pair2[1]}) "
               "-> product ({product[0]},{product[1]}) [{order}]")
-# bicyclic sections: (JSON key, classify_bicyclic flag, title, witness
-# text); C0 is unit insertion: 1 R b iff every x^k b y^k is in M
-BICYCLIC_SECTIONS = (
-    ("unit_insertion", "C0", "unit insertion",
-     "witness u={u} k={k} product {product}"),
-    ("internality", "C1", "compatibility", C1_WITNESS),
-)
 
 
 # Largest --bound of hunt, largest modulus of bicyclic --mod and largest
@@ -81,6 +69,19 @@ BOUND_CEILINGS = {"hunt": HUNT_MODULI_CEILING, "bicyclic --mod": 6,
 
 class InputError(Exception):
     pass
+
+
+def _integer(text: str) -> int:
+    """int(text), for --bound and --cap.  argparse refuses, as type=int
+    does, a value that is no int or has over MAX_DIGITS characters, which
+    int() does not read; a long value is echoed clipped."""
+    try:
+        if len(text) <= bc.MAX_DIGITS:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"invalid int value: {bc.clipped(text)!r}")
 
 
 def _load(path: str):
@@ -100,14 +101,16 @@ def _resolve_subset(m: FiniteMonoid, named: dict, selector: str) -> frozenset:
         indices = frozenset(int(tok) for tok in selector.split(",")
                             if tok.strip())
     except ValueError:
-        raise InputError(f"submonoid {selector!r} is neither a named subset "
-                         "nor a comma-separated index list") from None
+        raise InputError(f"submonoid {bc.clipped(selector)!r} is neither a "
+                         "named subset nor a comma-separated index list"
+                         ) from None
     if not indices:
         raise InputError("empty submonoid selector")
     bad = [i for i in sorted(indices) if not 0 <= i < m.order]
     if bad:
-        raise InputError(f"element index {bad[0]} in submonoid {selector!r} "
-                         f"out of range for order {m.order}")
+        raise InputError(f"element index {bc.clipped(str(bad[0]))} in "
+                         f"submonoid {bc.clipped(selector)!r} out of range "
+                         f"for order {m.order}")
     return indices
 
 
@@ -127,6 +130,25 @@ def cmd_validate(args):
                           for name, bits in named.items()]
 
 
+def _report(report, monoid=None) -> tuple[dict, list[str]]:
+    """The document of a report and its text: a row per flag, with the
+    witness of a refutation, then the consistency line."""
+    doc = report_json(report, monoid)
+    lines = [f"pair {doc['pair']}"]
+    for name, entry in doc["flags"].items():
+        cell = ("n/a" if entry["holds"] is None
+                else "✓" if entry["holds"] else "✗")
+        if "witness" in entry:
+            cell += "   witness " + ", ".join(
+                f"{k}=({','.join(map(str, v))})" if isinstance(v, list)
+                else f"{k}={v}" for k, v in entry["witness"].items())
+        lines.append(f"  {name:<8}{cell}")
+    bad = check_consistency(report)
+    lines.append("consistency: "
+                 + ("ok" if not bad else "VIOLATED " + ", ".join(bad)))
+    return doc, lines
+
+
 def cmd_classify(args):
     if args.all_submonoids and args.submonoid is not None:
         raise InputError("give --submonoid or --all-submonoids, not both")
@@ -141,22 +163,9 @@ def cmd_classify(args):
         masks = [_mask(m, _resolve_subset(m, named, args.submonoid)).bits]
     else:
         raise InputError("need --submonoid or --all-submonoids")
-    docs, lines = [], []
-    for bits in masks:
-        report = classify_pair(m, bits)
-        doc = report_json(report, m)
-        docs.append(doc)
-        lines.append(f"pair {doc['pair']}")
-        for name, entry in doc["flags"].items():
-            cell = ("n/a" if entry["holds"] is None
-                    else "✓" if entry["holds"] else "✗")
-            if "witness" in entry:
-                cell += "   witness " + ", ".join(
-                    f"{k}={v}" for k, v in entry["witness"].items())
-            lines.append(f"  {name:<8}{cell}")
-        bad = check_consistency(report)
-        lines.append("consistency: "
-                     + ("ok" if not bad else "VIOLATED " + ", ".join(bad)))
+    reports = [_report(classify_pair(m, bits), m) for bits in masks]
+    docs = [doc for doc, _ in reports]
+    lines = [line for _, text in reports for line in text]
     # --all-submonoids lists its pairs, however many; --submonoid has one
     return (docs if args.all_submonoids else docs[0]), lines
 
@@ -192,8 +201,8 @@ def _parse_residues(text: str) -> set[tuple[int, int]]:
     for token in re.split(r",(?![^()]*\))", body):
         match = RESIDUE.fullmatch(token.strip())
         if not match:
-            raise InputError(f"bad residue {bc.clipped_repr(token.strip())} "
-                             f"in --residues {bc.clipped_repr(text)}: "
+            raise InputError(f"bad residue {bc.clipped(token.strip())!r} "
+                             f"in --residues {bc.clipped(text)!r}: "
                              "expected (r,s) with r, s >= 0 "
                              f"of at most {bc.MAX_DIGITS} digits")
         residues.add((int(match.group(1)), int(match.group(2))))
@@ -206,53 +215,42 @@ def cmd_bicyclic(args):
         p, q = int(p_str), int(q_str)
     except ValueError:
         raise InputError(f"--mod expects P,Q; got "
-                         f"{bc.clipped_repr(args.mod)}") from None
+                         f"{bc.clipped(args.mod)!r}") from None
     ceiling = BOUND_CEILINGS["bicyclic --mod"]
     if not (1 <= p <= ceiling and 1 <= q <= ceiling):
-        raise InputError(f"--mod {args.mod}: each modulus must lie in "
-                         f"1..{ceiling}, the ceiling")
+        raise InputError(f"--mod {bc.clipped(args.mod)}: each modulus must "
+                         f"lie in 1..{ceiling}, the ceiling")
     try:
         sub = bc.residue_submonoid(p, q, _parse_residues(args.residues))
     except bc.BicyclicError as exc:
         raise InputError(str(exc)) from exc
-    out: dict = {"submonoid": sub.describe()}
+    doc = {"submonoid": sub.describe()}
+    lines = [f"submonoid {doc['submonoid']}"]
     if args.check_rm:
         parts = args.check_rm.split(",")
         if len(parts) != 2:
             raise InputError(f"--check-rm expects A,B; got "
-                             f"{bc.clipped_repr(args.check_rm)}")
+                             f"{bc.clipped(args.check_rm)!r}")
         try:
             a, b = map(bc.parse_element, parts)
         except (ValueError, bc.BicyclicError) as exc:
             raise InputError(f"bad --check-rm argument: {exc}") from exc
         verdict = bc.b_rm_related(a, b, sub)
-        out["check_rm"] = {
-            "a": str(a), "b": str(b), "related": verdict.holds,
-            "witness": witness_json(verdict.witness),
-        }
-    flags = classify_bicyclic(sub).flags
-    for key, flag, _, _ in BICYCLIC_SECTIONS:
-        out[key] = {"holds": flags[flag].holds,
-                    "witness": witness_json(flags[flag].witness)}
+        witness = witness_json(verdict.witness)
+        doc["check_rm"] = {"a": str(a), "b": str(b),
+                           "related": verdict.holds, "witness": witness}
+        lines.append("true" if verdict.holds else "false")
+        if witness:
+            lines.append(RM_WITNESS.format(**witness))
+    doc["report"], report_lines = _report(decide(sub))
+    lines += report_lines
     if args.normal_form is not None:
         try:
-            out["normal_form"] = str(bc.bword_normal_form(args.normal_form))
+            doc["normal_form"] = str(bc.bword_normal_form(args.normal_form))
         except bc.BicyclicError as exc:
             raise InputError(str(exc)) from exc
-    lines = [f"submonoid {out['submonoid']}"]
-    if "check_rm" in out:
-        r = out["check_rm"]
-        lines.append("true" if r["related"] else "false")
-        if r["witness"]:
-            lines.append(RM_WITNESS.format(**r["witness"]))
-    for key, _, title, template in BICYCLIC_SECTIONS:
-        r = out[key]
-        lines.append(f"{title}: {'holds' if r['holds'] else 'fails'}")
-        if r["witness"]:
-            lines.append("  " + template.format(**r["witness"]))
-    if "normal_form" in out:
-        lines.append(f"normal form: {out['normal_form']}")
-    return out, lines
+        lines.append(f"normal form: {doc['normal_form']}")
+    return doc, lines
 
 
 def _example_bicyclic() -> tuple[list[str], bool]:
@@ -265,7 +263,7 @@ def _example_bicyclic() -> tuple[list[str], bool]:
     fact3 = (not fail.holds and fail.witness["x"] == bc.X
              and fail.witness["y"] == bc.Y
              and fail.witness["product"] == bc.BicyclicElement(1, 1))
-    c1 = classify_bicyclic(parity).flags["C1"]
+    c1 = decide(parity).flags["C1"]
     lines = [f"  y2x1 R y1x2: {str(fact1).lower()}",
              f"  y0x1 R y1x0: {str(fact2).lower()}",
              f"  y1x1 R y2x2: {str(fail.holds).lower()}"]
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--submonoid", help="named subset or index list")
     p.add_argument("--all-submonoids", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUM_CAP,
                    help="most submonoids --all-submonoids lists, at most "
                         f"{BOUND_CEILINGS['classify --cap']}")
     p.add_argument("--json", action="store_true")
@@ -371,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_relation)
 
-    p = sub.add_parser("bicyclic", help="C0 and C1 of a residue submonoid")
+    p = sub.add_parser("bicyclic", help="report on a bicyclic residue pair")
     p.add_argument("--mod", required=True, metavar="P,Q")
     p.add_argument("--residues", required=True)
     p.add_argument("--check-rm", metavar="A,B")
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("hunt", help="clot-versus-compatibility hunt")
-    p.add_argument("--bound", type=int, default=4,
+    p.add_argument("--bound", type=_integer, default=4,
                    help="bound on the residue moduli, at most "
                         f"{BOUND_CEILINGS['hunt']}")
     p.add_argument("--json", action="store_true")
@@ -401,13 +399,13 @@ def main(argv=None) -> int:
                 "cap": BOUND_CEILINGS.get(f"{args.command} --cap")}
     for flag, ceiling in ceilings.items():
         value = getattr(args, flag, 1)
+        shown = f"--{flag} {bc.clipped(str(value))}"
         if value < 1:
-            print(f"error: --{flag} {value} must be positive",
-                  file=sys.stderr)
+            print(f"error: {shown} must be positive", file=sys.stderr)
             return BAD_INPUT
         if ceiling is not None and value > ceiling:
-            print(f"error: --{flag} {value} is above the ceiling "
-                  f"{ceiling} of {args.command}", file=sys.stderr)
+            print(f"error: {shown} is above the ceiling {ceiling} of "
+                  f"{args.command}", file=sys.stderr)
             return BAD_INPUT
     try:
         doc, lines = args.func(args)

@@ -11,8 +11,8 @@ from . import bicyclic as bc
 from .classify import (
     IMPLICATIONS,
     ClassificationReport,
-    classify_bicyclic,
     classify_pair,
+    decide,
 )
 from .clots import is_clot
 from .monoid import (
@@ -135,7 +135,7 @@ def open_question_report(moduli_bound: int = 4) -> dict:
     Part two: a hunt over the bicyclic residue submonoids with moduli <=
     moduli_bound, complete by theorem (each is a diagonal Δ_p(S)), for a
     candidate whose interleaved-insertion check passes while its C1,
-    decided exactly by classify_bicyclic, fails.  The insertion check
+    decided exactly by classify.decide, fails.  The insertion check
     stays bounded, so each conclusion of this part is evidence at a
     stated bound, never a theorem.  A moduli bound outside
     1..HUNT_MODULI_CEILING raises ValueError.
@@ -165,7 +165,7 @@ def open_question_report(moduli_bound: int = 4) -> dict:
         if not eq.holds:
             continue
         insertion_passes.append(sub.describe())
-        c1 = classify_bicyclic(sub).flags["C1"]
+        c1 = decide(sub).flags["C1"]
         if not c1.holds:
             candidates.append({"submonoid": sub.describe(),
                                **witness_json(c1.witness)})

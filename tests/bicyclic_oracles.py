@@ -5,7 +5,7 @@ independent oracles for clotkit's exact bicyclic procedures.
   y^s x^t with family parameter k, from the closed form;
 * `b_unit_insertion_condition`: C0 of a residue submonoid, as the
   unit-insertion condition x^k * u * y^k in M scanned up to a bound; the
-  oracle of classify_bicyclic's C0;
+  oracle of the exact C0 that classify.decide reports;
 * `related_pairs_up_to`: the related pairs of the reflexive syntactic
   relation with exponents up to a bound, decided by the integer kernel
   behind b_rm_related and b_internality_counterexamples;

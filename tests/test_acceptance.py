@@ -9,8 +9,8 @@ from itertools import product as iter_product
 from clotkit import bicyclic as bc
 from clotkit.classify import (
     check_consistency,
-    classify_bicyclic,
     classify_pair,
+    decide,
 )
 from clotkit.clots import homogeneity, is_clot, is_normal_submonoid
 from clotkit.monoid import full_transformation_monoid, group_verdict
@@ -214,7 +214,7 @@ def test_criterion_7_hierarchy_suite(corpus):
     assert strictness_search(corpus, "C1", "C2") is None
     # the parity submonoid of B escapes C1 and C0, and the doubling powers
     # escape the zero-class of their reflexive syntactic relation
-    parity = classify_bicyclic(bc.parity_submonoid())
+    parity = decide(bc.parity_submonoid())
     assert parity.holds("C1") is False and parity.holds("C0") is False
     assert doubling_refutation_report(5).passed
     print(f"ACCEPTANCE 7 hierarchy consistency and strictness: PASS")

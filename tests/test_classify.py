@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from clotkit import relations
+from clotkit import classify, relations
 from clotkit.bicyclic import (
     ONE,
     X,
@@ -24,10 +24,11 @@ from clotkit.classify import (
     IMPLICATIONS,
     NOT_COMPUTED,
     ClassificationReport,
+    FinitePair,
     _infer,
     check_consistency,
-    classify_bicyclic,
     classify_pair,
+    decide,
     report_json,
 )
 from clotkit.clots import is_clot, is_normal_submonoid, is_positive_cone
@@ -125,7 +126,7 @@ def test_group_flag_keeps_its_witness(t2):
     assert classify_pair(m, named["bijections"]).holds(GROUP_M) is True
     other = residue_submonoid(2, 4, {(0, 0), (0, 2), (1, 1), (1, 3)})
     for sub in (parity_submonoid(), other):
-        group = classify_bicyclic(sub).flags[GROUP_M]
+        group = decide(sub).flags[GROUP_M]
         assert (group.holds, group.mode) == (False, "exact")
         assert group.witness == {"a": BicyclicElement(0, sub.q)}
 
@@ -231,7 +232,7 @@ def test_bicyclic_residue_reports_are_settled():
         # the least periods of the set are (h, h): h is least
         p0, q0, least = _minimal_form(sub.p, sub.q, sub.residues)
         assert (p0, q0, s) == (h, h, {r for r, _ in least}), name
-        report = classify_bicyclic(sub)
+        report = decide(sub)
         # no flag is n/a or bounded: every one is proved or refuted
         assert all(f.mode == "exact" and f.bound is None
                    for f in report.flags.values()), name
@@ -249,7 +250,7 @@ def test_diagonal_shortcut_agrees_with_the_scans():
     for sub in _every_residue_submonoid():
         h, s = sub.diagonal_form
         bound = max(h, 3) if len(s) == h else h
-        report = classify_bicyclic(sub)
+        report = decide(sub)
         for flag, scan in (("C1", b_internality_search(sub, bound)),
                            ("C0", b_unit_insertion_condition(sub, bound))):
             f = report.flags[flag]
@@ -268,13 +269,13 @@ def test_diagonal_reports_have_no_bounded_flag():
     other = residue_submonoid(2, 4, {(0, 0), (0, 2), (1, 1), (1, 3)})
     assert other.diagonal_form == (2, {0, 1})
     for sub in closed + [other]:
-        report = classify_bicyclic(sub)
+        report = decide(sub)
         assert all(f.mode == "exact" for f in report.flags.values()), (
             sub.describe())
 
 
 def test_bicyclic_whole_monoid_is_not_homogeneous():
-    report = classify_bicyclic(residue_submonoid(1, 1, {(0, 0)}))
+    report = decide(residue_submonoid(1, 1, {(0, 0)}))
     right, left = report.flags["Dr"], report.flags["Dl"]
     assert (right.holds, right.mode, right.witness) == (
         False, "exact", {"a": X, "u": Y})
@@ -299,7 +300,7 @@ def test_diagonal_homogeneity_witnesses():
         sub = residue_submonoid(h, h, {(r, r) for r in range(h)})
         members = [e for e in (BicyclicElement(n, m) for n in range(13)
                                for m in range(13)) if e in sub]
-        report = classify_bicyclic(sub)
+        report = decide(sub)
         right, left = report.flags["Dr"], report.flags["Dl"]
         assert (right.holds, right.mode, right.witness) == (
             False, "exact", {"a": X, "u": BicyclicElement(h, 0)})
@@ -319,7 +320,7 @@ def test_bicyclic_c0_fails_past_any_bound():
     # Δ_7({0}) first leaves the shifted diagonal at u = y^7 x^7, past the
     # exponents 6 that a scan at bound 6 reads
     sub = residue_submonoid(7, 7, {(0, 0)})
-    c0 = classify_bicyclic(sub).flags["C0"]
+    c0 = decide(sub).flags["C0"]
     u, product = BicyclicElement(7, 7), BicyclicElement(6, 6)
     assert (c0.holds, c0.mode, c0.bound) == (False, "exact", None)
     assert c0.witness == {"u": u, "k": 1, "product": product}
@@ -329,7 +330,7 @@ def test_bicyclic_c0_fails_past_any_bound():
 
 
 def test_bicyclic_parity_report():
-    report = classify_bicyclic(parity_submonoid())
+    report = decide(parity_submonoid())
     f = report.flags
     assert f["C1"].holds is False and f["C1"].mode == "exact"
     assert f["C0"].holds is False and f["C0"].mode == "exact"
@@ -348,7 +349,7 @@ def test_bicyclic_parity_report():
 def test_bicyclic_whole_monoid_report():
     whole = residue_submonoid(1, 1, {(0, 0)})
     assert whole.diagonal_form == (1, {0})
-    report = classify_bicyclic(whole)
+    report = decide(whole)
     f = report.flags
     assert f["C0"].holds is True and f["C0"].mode == "exact"
     assert f["C1"].holds is True and f["C0.5"].holds is True
@@ -359,7 +360,7 @@ def test_bicyclic_whole_monoid_report():
 
 def test_bicyclic_diagonal_report_is_exact():
     diag = residue_submonoid(2, 2, {(0, 0), (1, 1)})
-    report = classify_bicyclic(diag)
+    report = decide(diag)
     f = report.flags
     for name in ("C1", "C0", "C2", "normal"):
         assert f[name].holds is True and f[name].mode == "exact", name
@@ -426,6 +427,46 @@ def test_classify_pair_refuses_a_non_submonoid(t2, words, cause):
     with pytest.raises(MonoidError) as raised:
         classify_pair(m, frozenset(m.labels.index(w) for w in words))
     assert str(raised.value) == cause
+
+
+def test_decide_of_a_finite_pair_is_classify_pair_with_notes(
+        corpus, t3, t3_submonoids, monkeypatch):
+    # is_internal reads R alone, and R takes 50 values on the corpus and 9
+    # on the 699 submonoids of T3, so each R is scanned once
+    scans = {}
+
+    def is_internal(rel):
+        key = rel.parent.table, rel.rows
+        if key not in scans:
+            scans[key] = relations.is_internal(rel)
+        return scans[key]
+
+    monkeypatch.setattr(classify, "is_internal", is_internal)
+    pairs = [(p.monoid, p.mask) for p in corpus]
+    pairs += [(t3[0], bits) for bits in t3_submonoids]
+    assert len(pairs) == 219 + 699
+    noted = 0
+    for m, bits in pairs:
+        full, bare = decide(FinitePair(m, bits)), classify_pair(m, bits)
+        assert full.pair == bare.pair
+        assert full.flags.keys() == bare.flags.keys()
+        for name, verdict in full.flags.items():
+            # same holds, witness and bound; classify_pair drops the note
+            assert verdict._replace(note="") == bare.flags[name], (
+                full.pair, name)
+            noted += bool(verdict.note)
+        assert not any(v.note for v in bare.flags.values()), full.pair
+    assert noted
+
+
+def test_pair_kinds_decide_only_flags_of_the_report(corpus):
+    known = {*FLAG_ORDER, GROUP_M}
+    kinds = [FinitePair(p.monoid, p.mask) for p in corpus
+             if p.monoid.order <= 6]
+    kinds += _closed_residue_submonoids(6)
+    assert {pair.name[:2] for pair in kinds} >= {"T2", "B:"}
+    for pair in kinds:
+        assert set(pair.flags()) <= known, pair.name
 
 
 def test_c3_is_the_theorem_the_dedekind_scan_confirms(corpus):

@@ -9,10 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clotkit
-from clotkit.classify import classify_bicyclic
+from clotkit.classify import decide, report_json
 from clotkit.cli import main
 from clotkit.monoid import full_transformation_monoid, monoid_to_dict
-from clotkit.relations import witness_json
 from clotkit.search import _closed_residue_submonoids
 
 # a number longer than the 4,300 digits int() converts
@@ -31,6 +30,12 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def report_rows(out: str) -> dict:
+    """The flag rows of a printed report: flag name -> verdict cell."""
+    return {line[2:10].rstrip(): line[10:] for line in out.splitlines()
+            if line.startswith("  ")}
 
 
 def test_validate_good_file(t2_file, capsys):
@@ -142,10 +147,49 @@ def test_classify_json_shape_follows_the_option(tmp_path, t2_file, capsys):
     pytest.param(("bicyclic", "--mod", f"2,{BIG}", "--residues", "(0,0)"),
                  f"--mod expects P,Q; got '2,{'9' * 14}...{'9' * 16}'",
                  id="modulus-too-long"),
+    pytest.param(("bicyclic", "--mod", f"2,{'9' * 4000}", "--residues",
+                  "(0,0)"),
+                 f"--mod 2,{'9' * 14}...{'9' * 16}: each modulus must lie "
+                 "in 1..6", id="modulus-above-ceiling-too-long"),
+    pytest.param(("classify", "T2", "--submonoid", f"x{BIG}"),
+                 f"submonoid 'x{'9' * 15}...{'9' * 16}' is neither a named "
+                 "subset nor a comma-separated index list",
+                 id="selector-too-long"),
+    pytest.param(("classify", "T2", "--submonoid", f"0,{BIG}"),
+                 f"submonoid '0,{'9' * 14}...{'9' * 16}' is neither",
+                 id="index-too-long"),
+    pytest.param(("classify", "T2", "--submonoid", f"0,{'9' * 4000}"),
+                 f"element index {'9' * 16}...{'9' * 16} in submonoid "
+                 f"'0,{'9' * 14}...{'9' * 16}' out of range for order 4",
+                 id="index-out-of-range-too-long"),
+    # argparse refuses a --bound or --cap of over 100 characters before
+    # int() reads it; main refuses the rest that are out of range
+    pytest.param(("hunt", "--bound", "9" * 1000),
+                 f"argument --bound: invalid int value: "
+                 f"'{'9' * 16}...{'9' * 16}'", id="bound-too-long"),
+    pytest.param(("hunt", "--bound", BIG),
+                 f"argument --bound: invalid int value: "
+                 f"'{'9' * 16}...{'9' * 16}'", id="bound-too-long-for-int"),
+    pytest.param(("classify", "T2", "--all-submonoids", "--cap", BIG),
+                 f"argument --cap: invalid int value: "
+                 f"'{'9' * 16}...{'9' * 16}'", id="cap-too-long-for-int"),
+    pytest.param(("hunt", "--bound", "abc"),
+                 "argument --bound: invalid int value: 'abc'",
+                 id="bound-not-an-int"),
+    pytest.param(("hunt", "--bound", "9" * 100),
+                 f"--bound {'9' * 16}...{'9' * 16} is above the ceiling 6 "
+                 "of hunt", id="bound-above-ceiling-clipped"),
+    pytest.param(("hunt", "--bound", "-" + "9" * 99),
+                 f"--bound -{'9' * 15}...{'9' * 16} must be positive",
+                 id="bound-negative-clipped"),
 ])
 def test_bad_arguments_exit_2(t2_file, capsys, args, message):
     args = [t2_file if a == "T2" else a for a in args]
-    code, out, err = run(capsys, *args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse refuses a value before main runs
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert f"error: {message}" in err, err
     assert len(err) < 300
@@ -386,12 +430,16 @@ def test_bicyclic_json(capsys):
 
 
 def test_bicyclic_condition_and_internality(capsys):
-    # both exact sections are printed on every call, with no switch
+    # the report of the pair is printed on every call, with no switch
     code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
                        "(0,0)")
     assert code == 0
-    assert "unit insertion: fails" in out
-    assert "compatibility: fails" in out
+    assert out.splitlines()[1] == "pair B:mod(2,2) residues {(0,0)}"
+    rows = report_rows(out)
+    assert rows["C0"] == "✗   witness u=y2x2, k=1, product=y1x1"
+    assert rows["C1"] == ("✗   witness pair1=(y0x0,y0x2), "
+                          "pair2=(y0x0,y2x0), order=second*first, "
+                          "product=(y0x0,y2x2)")
 
 
 @pytest.mark.parametrize("switch", ["--condition-r", "--internality"])
@@ -402,51 +450,65 @@ def test_bicyclic_section_switches_rejected(capsys, switch):
     assert f"unrecognized arguments: {switch}" in capsys.readouterr().err
 
 
+def assert_c0_and_c1_hold_exactly(capsys, mod, residues):
+    """bicyclic prints C0 and C1 as passes, exact: with no bound."""
+    code, out, _ = run(capsys, "bicyclic", "--mod", mod, "--residues",
+                       residues)
+    assert code == 0
+    rows = report_rows(out)
+    assert rows["C0"] == rows["C1"] == "✓"
+    assert out.splitlines()[-1] == "consistency: ok"
+    code, out, _ = run(capsys, "bicyclic", "--mod", mod, "--residues",
+                       residues, "--json")
+    assert code == 0
+    flags = json.loads(out)["report"]["flags"]
+    for flag in ("C0", "C1"):
+        assert flags[flag]["holds"] is True
+        assert flags[flag]["mode"] == "exact"
+        assert "bound" not in flags[flag] and "witness" not in flags[flag]
+    return out
+
+
 def test_bicyclic_diagonal_holds_exactly(capsys):
     # D_2 = {y^n x^m : n ≡ m mod 2}: both conditions hold, with no bound
-    code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
-                       "(0,0),(1,1)")
-    assert code == 0
-    assert out == ("submonoid mod(2,2) residues {(0,0),(1,1)}\n"
-                   "unit insertion: holds\n"
-                   "compatibility: holds\n")
+    out = assert_c0_and_c1_hold_exactly(capsys, "2,2", "(0,0),(1,1)")
+    assert json.loads(out)["submonoid"] == "mod(2,2) residues {(0,0),(1,1)}"
 
 
 def test_bicyclic_sections_are_the_report_flags(capsys):
-    for sub in _closed_residue_submonoids(6):
+    # the report bicyclic prints is the one decide gives, on all 63
+    # residue submonoids with moduli up to 6
+    subs = _closed_residue_submonoids(6)
+    assert len(subs) == 63
+    for sub in subs:
         residues = ",".join(f"({r},{s})" for r, s in sorted(sub.residues))
-        code, out, _ = run(capsys, "bicyclic", "--mod", f"{sub.p},{sub.q}",
-                           "--residues", residues, "--json")
+        args = ("bicyclic", "--mod", f"{sub.p},{sub.q}", "--residues",
+                residues)
+        report = decide(sub)
+        code, out, _ = run(capsys, *args, "--json")
         assert code == 0
-        parsed = json.loads(out)
-        flags = classify_bicyclic(sub).flags
-        for key, flag in (("unit_insertion", "C0"), ("internality", "C1")):
-            assert parsed[key] == {
-                "holds": flags[flag].holds,
-                "witness": witness_json(flags[flag].witness)}, (
-                sub.describe(), key)
+        assert json.loads(out)["report"] == report_json(report), (
+            sub.describe())
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        rows = report_rows(out)
+        for flag in ("C0", "C1"):
+            assert rows[flag][0] == ("✓" if report.holds(flag) else "✗"), (
+                sub.describe(), flag)
 
 
 def test_bicyclic_whole_monoid_internality_holds(capsys):
     code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
                        "(0,0)", "--json")
     assert code == 0
-    assert json.loads(out)["internality"] == {"holds": True, "witness": None}
+    c1 = json.loads(out)["report"]["flags"]["C1"]
+    assert c1["holds"] is True and "witness" not in c1
 
 
 def test_bicyclic_whole_monoid_unit_insertion_exact(capsys):
     # every x^k * u * y^k lies in the whole monoid: an exact pass, no bound
-    code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
-                       "(0,0)")
-    assert code == 0
-    assert out == ("submonoid mod(1,1) residues {(0,0)}\n"
-                   "unit insertion: holds\n"
-                   "compatibility: holds\n")
-    code, out, _ = run(capsys, "bicyclic", "--mod", "1,1", "--residues",
-                       "(0,0)", "--json")
-    assert code == 0
-    assert json.loads(out)["unit_insertion"] == {
-        "holds": True, "witness": None}
+    out = assert_c0_and_c1_hold_exactly(capsys, "1,1", "(0,0)")
+    assert json.loads(out)["report"]["pair"] == "B:mod(1,1) residues {(0,0)}"
 
 
 def test_bicyclic_normal_form(capsys):
@@ -495,12 +557,8 @@ def test_bicyclic_malformed_residue_rejected(capsys):
                              residues, "--check-rm", "y1x1,y2x2")
         assert code == 2 and out == "", residues
         assert f"bad residue {token} in --residues" in err, err
-    code, out, _ = run(capsys, "bicyclic", "--mod", "2,2", "--residues",
-                       " { (0, 0) , (1,1) } ")
-    assert code == 0
-    assert out == ("submonoid mod(2,2) residues {(0,0),(1,1)}\n"
-                   "unit insertion: holds\n"
-                   "compatibility: holds\n")
+    out = assert_c0_and_c1_hold_exactly(capsys, "2,2", " { (0, 0) , (1,1) } ")
+    assert json.loads(out)["submonoid"] == "mod(2,2) residues {(0,0),(1,1)}"
 
 
 def test_bicyclic_mod_above_ceiling_rejected(capsys, monkeypatch):
@@ -532,7 +590,7 @@ def test_bicyclic_bound_above_ceiling_rejected(capsys, monkeypatch):
 
     # bicyclic decides C0 and C1 exactly and takes no --bound: the parser
     # refuses every value before the submonoid is classified
-    monkeypatch.setattr(cli_module, "classify_bicyclic", None)
+    monkeypatch.setattr(cli_module, "decide", None)
     for bound in ("3", "0", "100000000"):
         with pytest.raises(SystemExit) as exc:
             main(["bicyclic", "--mod", "2,2", "--residues", "(0,0)",

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from clotkit import bicyclic as bc
-from clotkit.classify import classify_bicyclic, report_json
+from clotkit.classify import decide, report_json
 from clotkit.cli import main
 from clotkit.monoid import full_transformation_monoid, monoid_to_dict
 from clotkit.search import default_corpus
@@ -61,14 +61,14 @@ def _corpus_reports() -> str:
 
 
 def _bicyclic_reports() -> str:
-    """report_json lines for classify_bicyclic: the whole monoid, the
+    """report_json lines of decide on bicyclic pairs: the whole monoid, the
     parity submonoid, D_2, Δ_4({0, 2}), whose C0 witness lies below the
     modulus, and the parity submonoid presented mod (2, 4)."""
     subs = [bc.residue_submonoid(1, 1, {(0, 0)}), bc.parity_submonoid(),
             bc.residue_submonoid(2, 2, {(0, 0), (1, 1)}),
             bc.residue_submonoid(4, 4, {(0, 0), (2, 2)}),
             bc.residue_submonoid(2, 4, {(0, 0), (0, 2)})]
-    return "".join(json.dumps(report_json(classify_bicyclic(sub)),
+    return "".join(json.dumps(report_json(decide(sub)),
                               sort_keys=True, separators=(",", ":")) + "\n"
                    for sub in subs)
 

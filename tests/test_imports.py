@@ -24,7 +24,7 @@ PUBLIC_NAMES = """
     BicyclicElement ResidueSubmonoid b_internality_search b_rm_related
     bmul bword_normal_form parity_submonoid residue_submonoid
     doubling_refutation_report
-    ClassificationReport check_consistency classify_bicyclic classify_pair
+    ClassificationReport FinitePair check_consistency classify_pair decide
     Corpus build_corpus default_corpus open_question_report
     strictness_search
 """.split()

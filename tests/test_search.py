@@ -8,8 +8,8 @@ from clotkit import classify, monoid, relations, search
 from clotkit.classify import (
     FLAG_ORDER,
     IMPLICATIONS,
-    classify_bicyclic,
     classify_pair,
+    decide,
 )
 from clotkit.monoid import (
     TransformationSpec,
@@ -160,7 +160,7 @@ def test_open_question_report_small_bound(corpus):
 
 
 def test_hunt_runs_no_bounded_compatibility_search(monkeypatch):
-    # C1 of each residue submonoid comes from classify_bicyclic, exactly
+    # C1 of each residue submonoid comes from decide, exactly
     def refuse(*args):
         raise AssertionError("the hunt ran b_internality_search")
 
@@ -170,12 +170,12 @@ def test_hunt_runs_no_bounded_compatibility_search(monkeypatch):
 
 
 def test_hunt_insertion_passes_are_the_exact_clots():
-    # the oracle for reading the hunt's passes off classify_bicyclic: the
+    # the oracle for reading the hunt's passes off decide: the
     # bounded interleaved-insertion check passes exactly on the clots
     for sub in _closed_residue_submonoids(5):
         scan = bc.b_interleaved_insertion_bounded(
             sub, HUNT_INSERTION_NMAX, 2 * lcm(sub.p, sub.q))
-        assert scan.holds == classify_bicyclic(sub).holds("C0.5"), \
+        assert scan.holds == decide(sub).holds("C0.5"), \
             sub.describe()
 
 
