@@ -16,14 +16,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "monoid": """FiniteMonoid SubmonoidMask TransformationSpec cyclic_group
         direct_product enumerate_submonoids full_transformation_monoid
-        group_verdict load_monoid monoid_from_dict monoid_to_dict
-        restrict_to_submonoid submonoid_closure subset_group_verdict
-        validate_monoid""".split(),
+        load_monoid monoid_from_dict monoid_to_dict restrict_to_submonoid
+        submonoid_closure validate_monoid""".split(),
     "relations": """Relation Verdict internal_reflexive_closure is_internal
         syntactic_congruence syntactic_preorder syntactic_reflexive_relation
         witness_json zero_class""".split(),
-    "clots": """homogeneity is_clot is_normal_submonoid is_positive_cone
-        unit_transfer_condition""".split(),
+    "clots": """group_verdict homogeneity is_clot is_normal_submonoid
+        is_positive_cone subset_group_verdict unit_transfer_condition
+        """.split(),
     "bicyclic": """BicyclicElement ResidueSubmonoid b_internality_search
         b_rm_related bmul bword_normal_form parity_submonoid
         residue_submonoid""".split(),

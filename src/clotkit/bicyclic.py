@@ -22,6 +22,7 @@ from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional
 
 from .classify import GROUP_M
+from .monoid import clipped
 from .relations import Verdict
 
 
@@ -80,11 +81,6 @@ def _exponents(bound: int) -> list[tuple[int, int]]:
 
 def _elements(*pairs) -> tuple[BicyclicElement, ...]:
     return tuple(BicyclicElement(*e) for e in pairs)
-
-
-def clipped(text: str) -> str:
-    """text, over 40 characters cut to its first 16 + '...' + its last 16."""
-    return text if len(text) <= 40 else f"{text[:16]}...{text[-16:]}"
 
 
 def parse_element(text: str) -> BicyclicElement:

@@ -31,23 +31,19 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .clots import (
+    group_verdict,
     homogeneity,
     is_clot,
     is_normal_submonoid,
     is_positive_cone,
+    subset_group_verdict,
     # not called here since C3 ⊆ C2 settles C2; kept bound because
     # perfbench/spans.py times the unit-transfer layer under this name
     unit_transfer_condition,  # noqa: F401
 )
-from .monoid import (
-    FiniteMonoid,
-    SubmonoidMask,
-    group_verdict,
-    subset_group_verdict,
-)
+from .monoid import FiniteMonoid, SubmonoidMask, as_subset
 from .relations import (
     Verdict,
-    as_subset,
     is_internal,
     syntactic_reflexive_relation,
     witness_json,
@@ -156,7 +152,7 @@ class FinitePair(NamedTuple):
         raises MonoidError, naming the cause, for a subset that is not a
         submonoid."""
         m = self.monoid
-        sub = SubmonoidMask(m, as_subset(m, self.bits)).bits
+        sub = SubmonoidMask(m, self.bits).bits
         rm = syntactic_reflexive_relation(m, sub)
         return {
             GROUP_M: subset_group_verdict(m, sub),

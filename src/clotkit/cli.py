@@ -25,6 +25,7 @@ from .monoid import (
     FiniteMonoid,
     MonoidError,
     SubmonoidMask,
+    clipped,
     enumerate_submonoids,
     full_transformation_monoid,
     load_monoid,
@@ -81,17 +82,19 @@ def _integer(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"invalid int value: {bc.clipped(text)!r}")
+        f"invalid int value: {clipped(text)!r}")
 
 
 def _load(path: str):
+    # a path is echoed whole up to 255 characters, a file name's usual limit
+    shown = path if len(path) <= 255 else clipped(path)
     try:
         return load_monoid(path)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {shown}: {exc.strerror}") from exc
     # ValueError: undecodable bytes or bad JSON; RecursionError: deep nesting
     except (MonoidError, ValueError, RecursionError) as exc:
-        raise InputError(f"invalid monoid file {path}: {exc}") from exc
+        raise InputError(f"invalid monoid file {shown}: {exc}") from exc
 
 
 def _resolve_subset(m: FiniteMonoid, named: dict, selector: str) -> frozenset:
@@ -101,15 +104,15 @@ def _resolve_subset(m: FiniteMonoid, named: dict, selector: str) -> frozenset:
         indices = frozenset(int(tok) for tok in selector.split(",")
                             if tok.strip())
     except ValueError:
-        raise InputError(f"submonoid {bc.clipped(selector)!r} is neither a "
+        raise InputError(f"submonoid {clipped(selector)!r} is neither a "
                          "named subset nor a comma-separated index list"
                          ) from None
     if not indices:
         raise InputError("empty submonoid selector")
     bad = [i for i in sorted(indices) if not 0 <= i < m.order]
     if bad:
-        raise InputError(f"element index {bc.clipped(str(bad[0]))} in "
-                         f"submonoid {bc.clipped(selector)!r} out of range "
+        raise InputError(f"element index {clipped(str(bad[0]))} in "
+                         f"submonoid {clipped(selector)!r} out of range "
                          f"for order {m.order}")
     return indices
 
@@ -201,8 +204,8 @@ def _parse_residues(text: str) -> set[tuple[int, int]]:
     for token in re.split(r",(?![^()]*\))", body):
         match = RESIDUE.fullmatch(token.strip())
         if not match:
-            raise InputError(f"bad residue {bc.clipped(token.strip())!r} "
-                             f"in --residues {bc.clipped(text)!r}: "
+            raise InputError(f"bad residue {clipped(token.strip())!r} "
+                             f"in --residues {clipped(text)!r}: "
                              "expected (r,s) with r, s >= 0 "
                              f"of at most {bc.MAX_DIGITS} digits")
         residues.add((int(match.group(1)), int(match.group(2))))
@@ -215,10 +218,10 @@ def cmd_bicyclic(args):
         p, q = int(p_str), int(q_str)
     except ValueError:
         raise InputError(f"--mod expects P,Q; got "
-                         f"{bc.clipped(args.mod)!r}") from None
+                         f"{clipped(args.mod)!r}") from None
     ceiling = BOUND_CEILINGS["bicyclic --mod"]
     if not (1 <= p <= ceiling and 1 <= q <= ceiling):
-        raise InputError(f"--mod {bc.clipped(args.mod)}: each modulus must "
+        raise InputError(f"--mod {clipped(args.mod)}: each modulus must "
                          f"lie in 1..{ceiling}, the ceiling")
     try:
         sub = bc.residue_submonoid(p, q, _parse_residues(args.residues))
@@ -230,7 +233,7 @@ def cmd_bicyclic(args):
         parts = args.check_rm.split(",")
         if len(parts) != 2:
             raise InputError(f"--check-rm expects A,B; got "
-                             f"{bc.clipped(args.check_rm)!r}")
+                             f"{clipped(args.check_rm)!r}")
         try:
             a, b = map(bc.parse_element, parts)
         except (ValueError, bc.BicyclicError) as exc:
@@ -399,7 +402,7 @@ def main(argv=None) -> int:
                 "cap": BOUND_CEILINGS.get(f"{args.command} --cap")}
     for flag, ceiling in ceilings.items():
         value = getattr(args, flag, 1)
-        shown = f"--{flag} {bc.clipped(str(value))}"
+        shown = f"--{flag} {clipped(str(value))}"
         if value < 1:
             print(f"error: {shown} must be positive", file=sys.stderr)
             return BAD_INPUT

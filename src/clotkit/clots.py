@@ -9,11 +9,10 @@ are read from membership rows, without the syntactic relations.
 
 from __future__ import annotations
 
-from .monoid import FiniteMonoid, _right_orbit, inverses
+from .monoid import FiniteMonoid, _right_orbit, as_subset, inverses
 from .relations import (
     Verdict,
     _membership_rows,
-    as_subset,
     # not called here, as is_clot and D and normal take shorter routes;
     # kept bound because perfbench/spans.py times them under these names
     internal_reflexive_closure,  # noqa: F401
@@ -21,6 +20,21 @@ from .relations import (
     syntactic_preorder,  # noqa: F401
     zero_class_verdict,
 )
+
+
+def group_verdict(m: FiniteMonoid) -> Verdict:
+    """Whether every element has a two-sided inverse."""
+    return subset_group_verdict(m, frozenset(range(m.order)))
+
+
+def subset_group_verdict(m: FiniteMonoid, subset) -> Verdict:
+    """Whether every element of the subset has its two-sided inverse in it."""
+    bits = as_subset(m, subset)
+    inverse = inverses(m)
+    for u in sorted(bits):
+        if inverse.get(u) not in bits:
+            return Verdict(False, witness={"a": u})
+    return Verdict(True)
 
 
 def unit_transfer_condition(m: FiniteMonoid, subset) -> Verdict:

@@ -2,20 +2,24 @@
 
 Composition convention for transformation monoids is (a*b)(x) = a(b(x));
 all left/right homogeneity verdicts elsewhere depend on this choice.
-Element indices are dense integers; labels are cosmetic only.
+Element indices are dense integers; labels are cosmetic only.  This
+bottom layer imports no clotkit module, and as_subset range-checks subsets.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .relations import Verdict, _bits, as_subset
-
 DEFAULT_ORDER_CAP = 512
 DEFAULT_ENUM_CAP = 10_000
 # longest label of a transformation; a longer image word keeps its first
 # characters and ends in "#<index>", which no image word contains
 LABEL_LIMIT = 32
+
+
+def clipped(text: str) -> str:
+    """text, over 40 characters cut to its first 16 + '...' + its last 16."""
+    return text if len(text) <= 40 else f"{text[:16]}...{text[-16:]}"
 
 
 def _is_index(v) -> bool:
@@ -39,7 +43,7 @@ class BadIdentity(MonoidError):
         super().__init__(f"identity law fails at element {j}")
 
 
-class IndexOutOfRange(MonoidError):
+class IndexOutOfRange(MonoidError, ValueError):
     pass
 
 
@@ -63,6 +67,24 @@ class FiniteMonoid(NamedTuple):
         return self.table[a][b]
 
 
+def _bits(x: int):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def as_subset(m: FiniteMonoid, subset) -> frozenset[int]:
+    """A SubmonoidMask's bits or an iterable of indices, as a frozenset;
+    IndexOutOfRange names the least index outside the monoid."""
+    out = frozenset(getattr(subset, "bits", subset))
+    if out and (min(out) < 0 or max(out) >= m.order):
+        bad = min(i for i in out if not 0 <= i < m.order)
+        raise IndexOutOfRange(
+            f"element index {bad} out of range for order {m.order}")
+    return out
+
+
 def validate_monoid(table, identity: int, labels=None,
                     name: str = "M") -> FiniteMonoid:
     """Check the identity law and associativity, returning a FiniteMonoid or
@@ -78,11 +100,11 @@ def validate_monoid(table, identity: int, labels=None,
             raise IndexOutOfRange("table is not square")
         for v in row:
             if not _is_index(v) or not 0 <= v < n:
-                raise IndexOutOfRange(
-                    f"table entry {v!r} is not an integer in [0, {n})")
+                raise IndexOutOfRange(f"table entry {clipped(repr(v))} "
+                                      f"is not an integer in [0, {n})")
     if not _is_index(identity) or not 0 <= identity < n:
-        raise IndexOutOfRange(
-            f"identity {identity!r} is not an integer in [0, {n})")
+        raise IndexOutOfRange(f"identity {clipped(repr(identity))} "
+                              f"is not an integer in [0, {n})")
     for j in range(n):
         if rows[identity][j] != j or rows[j][identity] != j:
             raise BadIdentity(j)
@@ -103,7 +125,7 @@ def validate_monoid(table, identity: int, labels=None,
             raise MonoidError("label count does not match order")
         if len(set(labels)) < n:
             first = next(x for i, x in enumerate(labels) if x in labels[:i])
-            raise MonoidError(f"repeated label {first!r}")
+            raise MonoidError(f"repeated label {clipped(repr(first))}")
     return FiniteMonoid(rows, identity, labels, name)
 
 
@@ -202,8 +224,7 @@ def restrict_to_submonoid(m: FiniteMonoid, subset: Iterable[int],
                           name: Optional[str] = None) -> FiniteMonoid:
     """Standalone monoid on a submonoid, given by its indices or its mask;
     element order follows sorted indices."""
-    bits = frozenset(getattr(subset, "bits", subset))
-    elems = sorted(SubmonoidMask(m, bits).bits)
+    elems = sorted(SubmonoidMask(m, subset).bits)
     pos = {e: i for i, e in enumerate(elems)}
     table = tuple(tuple(pos[m.table[i][j]] for j in elems) for i in elems)
     labels = tuple(m.labels[i] for i in elems)
@@ -221,19 +242,18 @@ class SubmonoidMask(_MaskFields):
 
     __slots__ = ()
 
-    def __init__(self, parent: FiniteMonoid, bits: frozenset[int]):
-        members = sorted(bits)
-        for i in members:
-            if not 0 <= i < parent.order:
-                raise IndexOutOfRange(f"element {i} outside monoid")
+    def __new__(cls, parent: FiniteMonoid, bits) -> SubmonoidMask:
+        bits = as_subset(parent, bits)
         if parent.identity not in bits:
             raise MonoidError("submonoid must contain the identity")
         table = parent.table
+        members = sorted(bits)
         for i in members:
             for j in members:
                 if table[i][j] not in bits:
                     raise MonoidError(
                         f"not closed under product: {i}*{j} = {table[i][j]}")
+        return tuple.__new__(cls, (parent, bits))
 
     @classmethod
     def _closed(cls, parent: FiniteMonoid, bits: frozenset) -> SubmonoidMask:
@@ -261,10 +281,7 @@ def _right_orbit(one, generators, times) -> list:
 
 def submonoid_closure(m: FiniteMonoid, seed: Iterable[int]) -> SubmonoidMask:
     """Smallest submonoid holding the seed, indices or a mask: 1's orbit."""
-    gens = sorted(set(getattr(seed, "bits", seed)))
-    bad = [g for g in gens if not 0 <= g < m.order]
-    if bad:  # refused here, as table[x][g] would wrap a negative index
-        raise IndexOutOfRange(f"element {bad[0]} outside monoid")
+    gens = sorted(as_subset(m, seed))
     table = m.table
     orbit = _right_orbit(m.identity, gens, lambda x, g: table[x][g])
     return SubmonoidMask._closed(m, frozenset(orbit))
@@ -372,21 +389,6 @@ def inverses(m: FiniteMonoid) -> dict[int, int]:
     return {x: row.index(e) for x, row in enumerate(m.table) if e in row}
 
 
-def group_verdict(m: FiniteMonoid) -> Verdict:
-    """Whether every element has a two-sided inverse."""
-    return subset_group_verdict(m, frozenset(range(m.order)))
-
-
-def subset_group_verdict(m: FiniteMonoid, subset) -> Verdict:
-    """Whether every element of the subset has its two-sided inverse in it."""
-    bits = as_subset(m, subset)
-    inverse = inverses(m)
-    for u in sorted(bits):
-        if inverse.get(u) not in bits:
-            return Verdict(False, witness={"a": u})
-    return Verdict(True)
-
-
 class TransformationSpec(NamedTuple):
     """Generating maps of {1..k}, 1-based values, optionally closed."""
 
@@ -400,14 +402,15 @@ def monoid_from_transformations(spec: TransformationSpec) -> FiniteMonoid:
     With close false the maps must list it and every composite."""
     k = spec.domain
     if not _is_index(k) or not 1 <= k <= DEFAULT_ORDER_CAP:
-        raise MonoidError(f"domain {k!r} is not an integer in "
+        raise MonoidError(f"domain {clipped(repr(k))} is not an integer in "
                           f"[1, {DEFAULT_ORDER_CAP}]")
     if not isinstance(spec.close, bool):
-        raise MonoidError(f"close {spec.close!r} is not a boolean")
+        raise MonoidError(
+            f"close {clipped(repr(spec.close))} is not a boolean")
     for f in spec.maps:
         if len(f) != k or any(not _is_index(v) or not 1 <= v <= k for v in f):
-            raise MonoidError(
-                f"generator {list(f)} is not a self-map of a {k}-element set")
+            raise MonoidError(f"generator {clipped(repr(list(f)))} is not "
+                              f"a self-map of a {k}-element set")
     ident = tuple(range(1, k + 1))
     listed = {tuple(f) for f in spec.maps}
     if not spec.close and ident not in listed:
@@ -417,7 +420,8 @@ def monoid_from_transformations(spec: TransformationSpec) -> FiniteMonoid:
         h = _compose(f, g)
         if not spec.close and h not in listed:
             raise MonoidError(
-                f"maps not closed under composition: {f} after {g}")
+                f"maps not closed under composition: "
+                f"{clipped(repr(f))} after {clipped(repr(g))}")
         return h
 
     generators = sorted(listed - {ident})
@@ -448,9 +452,10 @@ def monoid_from_dict(d: dict):
     if "table" in d:
         name, labels = d.get("name", "M"), d.get("labels")
         if not isinstance(name, str):
-            raise MonoidError(f"name {name!r} is not a string")
+            raise MonoidError(f"name {clipped(repr(name))} is not a string")
         if "labels" in d and not isinstance(labels, list):
-            raise MonoidError(f"labels {labels!r} is not a list")
+            raise MonoidError(
+                f"labels {clipped(repr(labels))} is not a list")
         table = d["table"]
         if not isinstance(table, list):
             raise MonoidError("table is not a list of rows")
@@ -461,20 +466,24 @@ def monoid_from_dict(d: dict):
         m = validate_monoid(table, d.get("identity"), labels, name)
         order = d.get("order", m.order)
         if not _is_index(order) or order != m.order:
-            raise MonoidError(f"declared order {order!r} does not match table")
+            raise MonoidError(f"declared order {clipped(repr(order))} "
+                              "does not match table")
         subsets = d.get("submonoids", {})
         if not isinstance(subsets, dict):
             raise MonoidError("submonoids is not an object of named subsets")
         subs = {}
         for name, indices in subsets.items():
             if not isinstance(indices, list):
-                raise MonoidError(f"subset {name!r} is not a list of element "
-                                  f"indices: {indices!r}")
+                raise MonoidError(
+                    f"subset {clipped(repr(name))} is not a list of "
+                    f"element indices: {clipped(repr(indices))}")
             bad = [i for i in indices
                    if not (_is_index(i) and 0 <= i < m.order)]
             if bad:
-                raise IndexOutOfRange(f"subset {name!r}: index {bad[0]!r} "
-                                      f"is not an integer in [0, {m.order})")
+                raise IndexOutOfRange(
+                    f"subset {clipped(repr(name))}: index "
+                    f"{clipped(repr(bad[0]))} is not an integer in "
+                    f"[0, {m.order})")
             subs[name] = frozenset(indices)
         return m, subs
     if "domain" in d:
@@ -485,7 +494,8 @@ def monoid_from_dict(d: dict):
         maps = d.get("generators")
         if not (isinstance(maps, list)
                 and all(isinstance(f, list) for f in maps)):
-            raise MonoidError(f"generators {maps!r} is not a list of maps")
+            raise MonoidError(
+                f"generators {clipped(repr(maps))} is not a list of maps")
         spec = TransformationSpec(d["domain"], tuple(map(tuple, maps)),
                                   d.get("close", True))
         return monoid_from_transformations(spec), {}

@@ -18,10 +18,9 @@ the table, and a result lives as long as its caller keeps it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-if TYPE_CHECKING:
-    from .monoid import FiniteMonoid
+from .monoid import FiniteMonoid, _bits, as_subset, inverses
 
 
 class Verdict(NamedTuple):
@@ -74,7 +73,7 @@ def _json_value(value, labeler):
 class Relation(NamedTuple):
     """Dense relation on a finite monoid: bit b of rows[a] means a S b."""
 
-    parent: "FiniteMonoid"
+    parent: FiniteMonoid
     rows: tuple[int, ...]
     kind: str
 
@@ -94,30 +93,13 @@ class Relation(NamedTuple):
         return [format(r, f"0{n}b")[::-1] for r in self.rows]
 
 
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-def as_subset(m: "FiniteMonoid", subset) -> frozenset[int]:
-    """Normalize a SubmonoidMask or iterable of indices to a frozenset."""
-    bits = getattr(subset, "bits", subset)
-    out = frozenset(bits)
-    for i in out:
-        if not 0 <= i < m.order:
-            raise ValueError(f"element index {i} out of range for order {m.order}")
-    return out
-
-
-def _membership_rows(m: "FiniteMonoid", subset: frozenset) -> list[int]:
+def _membership_rows(m: FiniteMonoid, subset: frozenset) -> list[int]:
     # bit y of mem[z]: z*y in subset
     return [sum(1 << y for y, zy in enumerate(tz) if zy in subset)
             for tz in m.table]
 
 
-def _context_vectors(m: "FiniteMonoid", subset: frozenset) -> tuple[int, ...]:
+def _context_vectors(m: FiniteMonoid, subset: frozenset) -> tuple[int, ...]:
     # bit x*n + y of entry a: x*a*y in subset, so row x of a is mem[x*a]
     n = m.order
     mem = _membership_rows(m, subset)
@@ -125,7 +107,7 @@ def _context_vectors(m: "FiniteMonoid", subset: frozenset) -> tuple[int, ...]:
                  for a in range(n))
 
 
-def syntactic_congruence(m: "FiniteMonoid", subset) -> Relation:
+def syntactic_congruence(m: FiniteMonoid, subset) -> Relation:
     """Relation identifying elements with equal context sets relative to M."""
     ctx = _context_vectors(m, as_subset(m, subset))
     class_mask: dict[int, int] = {}
@@ -135,7 +117,7 @@ def syntactic_congruence(m: "FiniteMonoid", subset) -> Relation:
                     "congruence-candidate")
 
 
-def syntactic_preorder(m: "FiniteMonoid", subset) -> Relation:
+def syntactic_preorder(m: FiniteMonoid, subset) -> Relation:
     """Relation ordering elements by context-set inclusion relative to M."""
     ctx = _context_vectors(m, as_subset(m, subset))
     return Relation(m, tuple(sum(1 << b for b, cb in enumerate(ctx)
@@ -143,13 +125,11 @@ def syntactic_preorder(m: "FiniteMonoid", subset) -> Relation:
                     "preorder-candidate")
 
 
-def syntactic_reflexive_relation(m: "FiniteMonoid", subset) -> Relation:
+def syntactic_reflexive_relation(m: FiniteMonoid, subset) -> Relation:
     """a related to b iff every factorization x*a*y = 1 gives x*b*y in M.
     These are (x, a, (x*a)^-1) for the units x if a is a unit, and none
     otherwise: a non-unit's row is full, and a unit a's row is K*a, the
     distinct k*a for k in K = {k : x*k*x^-1 in M for every unit x}."""
-    from .monoid import inverses
-
     sub = as_subset(m, subset)
     table = m.table
     inverse = inverses(m)
@@ -193,7 +173,7 @@ def is_internal(rel: Relation) -> Verdict:
     return Verdict(True)
 
 
-def internal_reflexive_closure(m: "FiniteMonoid", subset) -> Relation:
+def internal_reflexive_closure(m: FiniteMonoid, subset) -> Relation:
     """Smallest reflexive relation containing {(1, u) : u in M} that is
     closed under pairwise products; its zero-class always contains M."""
     sub = as_subset(m, subset)

@@ -32,14 +32,8 @@ from math import lcm
 from typing import Optional
 
 from clotkit import bicyclic as bc
-from clotkit.monoid import FiniteMonoid, MonoidError
-from clotkit.relations import (
-    Relation,
-    Verdict,
-    _bits,
-    _context_vectors,
-    as_subset,
-)
+from clotkit.monoid import FiniteMonoid, MonoidError, _bits, as_subset
+from clotkit.relations import Relation, Verdict, _context_vectors
 
 
 class NotAGroup(MonoidError):

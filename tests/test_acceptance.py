@@ -12,8 +12,13 @@ from clotkit.classify import (
     classify_pair,
     decide,
 )
-from clotkit.clots import homogeneity, is_clot, is_normal_submonoid
-from clotkit.monoid import full_transformation_monoid, group_verdict
+from clotkit.clots import (
+    group_verdict,
+    homogeneity,
+    is_clot,
+    is_normal_submonoid,
+)
+from clotkit.monoid import full_transformation_monoid
 from clotkit.natfuncs import doubling_refutation_report
 from clotkit.relations import (
     is_internal,

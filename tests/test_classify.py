@@ -31,13 +31,17 @@ from clotkit.classify import (
     decide,
     report_json,
 )
-from clotkit.clots import is_clot, is_normal_submonoid, is_positive_cone
+from clotkit.clots import (
+    is_clot,
+    is_normal_submonoid,
+    is_positive_cone,
+    subset_group_verdict,
+)
 from clotkit.monoid import (
     FiniteMonoid,
     MonoidError,
     full_transformation_monoid,
     restrict_to_submonoid,
-    subset_group_verdict,
 )
 from clotkit.search import _closed_residue_submonoids
 from clotkit.relations import (

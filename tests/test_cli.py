@@ -244,6 +244,9 @@ def test_validate_rejects_out_of_range_subset(tmp_path, capsys):
 
 
 Z2 = {"table": [[0, 1], [1, 0]], "identity": 0}
+# an over-long value, and its repr as messages echo it: first and last 16
+LONG = "x" * 5000
+SHOWN = f"'{'x' * 15}...{'x' * 15}'"
 
 
 # JSON true and false load as bools, which Python counts as 1 and 0
@@ -289,13 +292,25 @@ Z2 = {"table": [[0, 1], [1, 0]], "identity": 0}
     # labels name the elements, one each, in witnesses and zero-classes
     (dict(Z2, labels=["a"]), "label count does not match order"),
     (dict(Z2, labels=["a", "a"]), "repeated label 'a'"),
+    # an over-long value is named by its first and last 16 characters
+    ({"domain": 2, "generators": [[1, 1]], "close": LONG}, f"close {SHOWN}"),
+    ({"domain": LONG, "generators": []}, f"domain {SHOWN}"),
+    (dict(Z2, identity=LONG), f"identity {SHOWN}"),
+    ({"table": [[0]], "identity": 0, "order": LONG},
+     f"declared order {SHOWN}"),
+    (dict(Z2, table=[[0, LONG], [1, 0]]), f"table entry {SHOWN}"),
+    (dict(Z2, labels=LONG), f"labels {SHOWN}"),
+    (dict(Z2, labels=[LONG, LONG]), f"repeated label {SHOWN}"),
+    (dict(Z2, submonoids={LONG: [0, 7]}), f"subset {SHOWN}: index 7"),
+    ({"domain": 2, "generators": [[1] * 5000]},
+     "generator [1, 1, 1, 1, 1, ..., 1, 1, 1, 1, 1] is not a self-map"),
 ])
 def test_malformed_file_names_the_field(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "classify", str(path), "--submonoid", "x")
     assert code == 2 and out == ""
-    assert field in err, err
+    assert field in err and len(err) < 300, err
 
 
 def test_huge_domain_refused_before_any_allocation(tmp_path):
@@ -352,6 +367,17 @@ def test_unreadable_monoid_file_exits_2(tmp_path, capsys, make, message):
     code, out, err = run(capsys, "validate", path)
     assert code == 2 and out == ""
     assert path in err and message in err, err
+
+
+def test_unreadable_path_is_echoed_once_with_the_os_reason(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run(capsys, "validate", missing)
+    assert (code, err) == (
+        2, f"error: cannot read {missing}: No such file or directory\n")
+    # a path is echoed whole up to 255 characters, and clipped beyond
+    code, out, err = run(capsys, "validate", f"{BIG}.json")
+    assert code == 2 and out == "" and len(err) < 300, err
+    assert err.startswith(f"error: cannot read {'9' * 16}...{'9' * 11}.json: ")
 
 
 # documents that are often valid, with fields replaced by values of the

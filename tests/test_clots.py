@@ -7,6 +7,7 @@ from clotkit.clots import (
     is_clot,
     is_normal_submonoid,
     is_positive_cone,
+    subset_group_verdict,
     unit_transfer_condition,
 )
 from clotkit.monoid import (
@@ -14,7 +15,6 @@ from clotkit.monoid import (
     enumerate_submonoids,
     full_transformation_monoid,
     submonoid_closure,
-    subset_group_verdict,
 )
 from clotkit.relations import (
     internal_reflexive_closure,

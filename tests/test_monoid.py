@@ -4,6 +4,7 @@ from itertools import product as iter_product
 import pytest
 
 from clotkit import monoid as monoid_module
+from clotkit.clots import group_verdict, subset_group_verdict
 from clotkit.monoid import (
     LABEL_LIMIT,
     BadIdentity,
@@ -18,14 +19,12 @@ from clotkit.monoid import (
     direct_product,
     enumerate_submonoids,
     full_transformation_monoid,
-    group_verdict,
     inverses,
     monoid_from_dict,
     monoid_from_transformations,
     monoid_to_dict,
     restrict_to_submonoid,
     submonoid_closure,
-    subset_group_verdict,
     validate_monoid,
 )
 from finite_oracles import (

@@ -6,6 +6,7 @@ import random
 from clotkit.cli import RELATION_BUILDERS, main
 from clotkit.clots import is_clot
 from clotkit.monoid import (
+    _bits,
     cyclic_group,
     enumerate_submonoids,
     full_transformation_monoid,
@@ -15,7 +16,6 @@ from clotkit.monoid import (
 )
 from clotkit.relations import (
     Verdict,
-    _bits,
     internal_reflexive_closure,
     is_internal,
     syntactic_congruence,
