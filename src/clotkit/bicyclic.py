@@ -18,6 +18,7 @@ insertion: refutations exact, passes bounded.
 from __future__ import annotations
 
 import re
+from functools import cache
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional
 
@@ -268,18 +269,6 @@ def b_rm_related(a: BicyclicElement, b: BicyclicElement,
                                    "product": bmul(bmul(left, b), right)})
 
 
-class _Relatedness(dict):
-    """a R b for exponent pairs (a, b), decided when first looked up."""
-
-    def __init__(self, M: ResidueSubmonoid):
-        super().__init__()
-        self.M = M
-
-    def __missing__(self, pair) -> bool:
-        self[pair] = related = _rm_failure(*pair, self.M) is None
-        return related
-
-
 def _counterexample(p1, p2, order: str, a, b) -> dict:
     return {"pair1": _elements(*p1), "pair2": _elements(*p2),
             "order": order, "product": _elements(a, b)}
@@ -296,19 +285,19 @@ def b_internality_counterexamples(M: ResidueSubmonoid,
     so an early failure costs the pairs within the bound and the products
     tested before it, not every pair a product can reach.
     """
-    related = _Relatedness(M)
+    related = cache(lambda a, b: _rm_failure(a, b, M) is None)
     exps = _exponents(bound)
-    pairs = [(a, b) for a in exps for b in exps if related[a, b]]
+    pairs = [(a, b) for a in exps for b in exps if related(a, b)]
     for p1 in pairs:
         (a1n, a1m), (b1n, b1m) = p1
         for p2 in pairs:
             (a2n, a2m), (b2n, b2m) = p2
             a, b = _mul(a1n, a1m, a2n, a2m), _mul(b1n, b1m, b2n, b2m)
-            if not related[a, b]:
+            if not related(a, b):
                 yield _counterexample(p1, p2, "first*second", a, b)
             if p1 != p2:
                 a, b = _mul(a2n, a2m, a1n, a1m), _mul(b2n, b2m, b1n, b1m)
-                if not related[a, b]:
+                if not related(a, b):
                     yield _counterexample(p1, p2, "second*first", a, b)
 
 
@@ -334,7 +323,8 @@ def b_interleaved_insertion_bounded(M: ResidueSubmonoid, nmax: int,
 
     Whenever a1*...*a(n+1) = 1 every prefix product is a power of x (the
     y-exponent of a product never drops), so states are (k, interleaved
-    product) with prefix x^k.  Scans n <= nmax with all exponents <= bound.
+    product) with prefix x^k.  Scans n <= nmax with all exponents <= bound,
+    and checks each state once, when it is first seen.
     """
     if nmax < 1 or bound < 1:
         raise BicyclicError("nmax and bound must be >= 1")
@@ -360,10 +350,11 @@ def b_interleaved_insertion_bounded(M: ResidueSubmonoid, nmax: int,
                     if state not in seen:
                         seen.add(state)
                         new.add(state)
-                    n, m = state[1]
-                    if k2 == 0 and (n % p, m % q) not in residues:
-                        witness = {"n": level, "value": BicyclicElement(n, m)}
-                        return Verdict(False, bound=bound, witness=witness)
+                        n, m = state[1]
+                        if k2 == 0 and (n % p, m % q) not in residues:
+                            witness = {"n": level,
+                                       "value": BicyclicElement(n, m)}
+                            return Verdict(False, bound=bound, witness=witness)
         frontier = new
         if not frontier:
             break

@@ -9,7 +9,7 @@ are read from membership rows, without the syntactic relations.
 
 from __future__ import annotations
 
-from .monoid import FiniteMonoid, _right_orbit, as_subset, inverses
+from .monoid import FiniteMonoid, as_subset, inverses, submonoid_closure
 from .relations import (
     Verdict,
     _membership_rows,
@@ -100,7 +100,7 @@ def is_clot(m: FiniteMonoid, subset) -> Verdict:
     table = m.table
     conjugates = {table[table[x][u]][y] for x, y in inverses(m).items()
                   for u in sub}
-    zc = set(_right_orbit(m.identity, conjugates, lambda x, g: table[x][g]))
+    zc = submonoid_closure(m, conjugates).bits
     return zero_class_verdict(zc, sub,
                               "submonoid generated by conjugates by units")
 

@@ -3,7 +3,7 @@
 Composition convention for transformation monoids is (a*b)(x) = a(b(x));
 all left/right homogeneity verdicts elsewhere depend on this choice.
 Element indices are dense integers; labels are cosmetic only.  This
-bottom layer imports no clotkit module, and as_subset range-checks subsets.
+bottom layer imports no clotkit module, and as_subset checks subsets.
 """
 
 from __future__ import annotations
@@ -76,8 +76,13 @@ def _bits(x: int):
 
 def as_subset(m: FiniteMonoid, subset) -> frozenset[int]:
     """A SubmonoidMask's bits or an iterable of indices, as a frozenset;
-    IndexOutOfRange names the least index outside the monoid."""
+    IndexOutOfRange names the least non-integer member by repr, else the
+    least index outside the monoid."""
     out = frozenset(getattr(subset, "bits", subset))
+    if not all(map(_is_index, out)):
+        bad = min((v for v in out if not _is_index(v)), key=repr)
+        raise IndexOutOfRange(f"element index {clipped(repr(bad))} "
+                              f"is not an integer in [0, {m.order})")
     if out and (min(out) < 0 or max(out) >= m.order):
         bad = min(i for i in out if not 0 <= i < m.order)
         raise IndexOutOfRange(

@@ -339,6 +339,23 @@ def test_internality_counterexamples_are_genuine():
         assert not b_rm_related(prod[0], prod[1], parity).holds
 
 
+@pytest.mark.parametrize("M", [
+    parity_submonoid(), residue_submonoid(2, 2, {(0, 0), (1, 1)}),
+], ids=lambda M: M.describe())
+def test_internality_scan_decides_each_pair_once(monkeypatch, M):
+    expected = list(b_internality_counterexamples(M, 2))
+    decided = []
+    original = bc._rm_failure
+
+    def counting(a, b, sub):
+        decided.append((a, b))
+        return original(a, b, sub)
+
+    monkeypatch.setattr(bc, "_rm_failure", counting)
+    assert list(b_internality_counterexamples(M, 2)) == expected
+    assert decided and len(decided) == len(set(decided))
+
+
 def test_internality_search_whole_monoid_exact_pass():
     # the relation is total on the whole monoid, so no scan is needed
     whole = residue_submonoid(1, 1, {(0, 0)})

@@ -31,6 +31,12 @@ ALLOWED["natfuncs"] = set()
 # the one package import inside a function, so that only paper-examples
 # loads natfuncs
 LOCAL_IMPORTS = {("cli", "_example_doubling", "natfuncs")}
+# the entry points that take an index subset, each through as_subset
+ENTRY_POINTS = [
+    as_subset, SubmonoidMask, submonoid_closure, restrict_to_submonoid,
+    classify_pair, is_clot, syntactic_reflexive_relation,
+    internal_reflexive_closure,
+]
 
 
 def _package_imports(node):
@@ -71,11 +77,7 @@ def test_modules_import_only_the_layers_below(name):
 
 
 @pytest.mark.parametrize("subset, least", [({1, 9, 7}, 7), ({1, -1}, -1)])
-@pytest.mark.parametrize("check", [
-    as_subset, SubmonoidMask, submonoid_closure, restrict_to_submonoid,
-    classify_pair, is_clot, syntactic_reflexive_relation,
-    internal_reflexive_closure,
-], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("check", ENTRY_POINTS, ids=lambda f: f.__name__)
 def test_one_range_check_names_the_least_bad_index(t2, check, subset, least):
     m, _ = t2
     with pytest.raises(IndexOutOfRange) as raised:
@@ -84,6 +86,22 @@ def test_one_range_check_names_the_least_bad_index(t2, check, subset, least):
     assert isinstance(raised.value, MonoidError)
     assert str(raised.value) == \
         f"element index {least} out of range for order 4"
+
+
+@pytest.mark.parametrize("subset, least", [
+    ({1, 1.5}, "1.5"), ({1, "a"}, "'a'"), ({1, None}, "None"),
+    ({True, 3}, "True"),
+], ids=["float", "str", "None", "bool"])
+@pytest.mark.parametrize("check", ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_one_type_check_names_the_least_non_integer(t2, check, subset,
+                                                    least):
+    m, _ = t2
+    with pytest.raises(IndexOutOfRange) as raised:
+        check(m, subset)
+    assert isinstance(raised.value, ValueError)
+    assert isinstance(raised.value, MonoidError)
+    assert str(raised.value) == \
+        f"element index {least} is not an integer in [0, 4)"
 
 
 def test_submonoid_mask_normalizes_its_bits(t2):
