@@ -162,7 +162,7 @@ def cmd_classify(args):
         if enum.truncated:
             print(f"note: truncated at {args.cap} submonoids",
                   file=sys.stderr)
-    elif args.submonoid:
+    elif args.submonoid is not None:
         masks = [_mask(m, _resolve_subset(m, named, args.submonoid)).bits]
     else:
         raise InputError("need --submonoid or --all-submonoids")

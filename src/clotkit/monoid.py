@@ -44,7 +44,13 @@ class BadIdentity(MonoidError):
 
 
 class IndexOutOfRange(MonoidError, ValueError):
-    pass
+    @classmethod
+    def check(cls, what: str, values, n: int) -> None:
+        """Refuse, as `what`, the first of values not an integer in [0, n)."""
+        for v in values:
+            if not _is_index(v) or not 0 <= v < n:
+                raise cls(f"{what} {clipped(repr(v))} is not an integer in "
+                          f"[0, {n})")
 
 
 class OrderCapExceeded(MonoidError):
@@ -81,8 +87,7 @@ def as_subset(m: FiniteMonoid, subset) -> frozenset[int]:
     out = frozenset(getattr(subset, "bits", subset))
     if not all(map(_is_index, out)):
         bad = min((v for v in out if not _is_index(v)), key=repr)
-        raise IndexOutOfRange(f"element index {clipped(repr(bad))} "
-                              f"is not an integer in [0, {m.order})")
+        IndexOutOfRange.check("element index", [bad], m.order)
     if out and (min(out) < 0 or max(out) >= m.order):
         bad = min(i for i in out if not 0 <= i < m.order)
         raise IndexOutOfRange(
@@ -103,13 +108,8 @@ def validate_monoid(table, identity: int, labels=None,
     for row in rows:
         if len(row) != n:
             raise IndexOutOfRange("table is not square")
-        for v in row:
-            if not _is_index(v) or not 0 <= v < n:
-                raise IndexOutOfRange(f"table entry {clipped(repr(v))} "
-                                      f"is not an integer in [0, {n})")
-    if not _is_index(identity) or not 0 <= identity < n:
-        raise IndexOutOfRange(f"identity {clipped(repr(identity))} "
-                              f"is not an integer in [0, {n})")
+        IndexOutOfRange.check("table entry", row, n)
+    IndexOutOfRange.check("identity", [identity], n)
     for j in range(n):
         if rows[identity][j] != j or rows[j][identity] != j:
             raise BadIdentity(j)
@@ -421,15 +421,16 @@ def monoid_from_transformations(spec: TransformationSpec) -> FiniteMonoid:
     if not spec.close and ident not in listed:
         raise MonoidError("close=false requires the identity map")
 
-    def compose(f, g):
+    def compose_listed(f, g):
         h = _compose(f, g)
-        if not spec.close and h not in listed:
+        if h not in listed:
             raise MonoidError(
                 f"maps not closed under composition: "
                 f"{clipped(repr(f))} after {clipped(repr(g))}")
         return h
 
     generators = sorted(listed - {ident})
+    compose = _compose if spec.close else compose_listed
     return _transformation_table(k, generators, compose, f"T{k}-gen")[0]
 
 
@@ -447,14 +448,29 @@ def monoid_to_dict(m: FiniteMonoid,
     return d
 
 
+# each document kind's keys, as its refusal lists them; the first marks it
+DOCUMENT_KEYS = {"table": ("table", "identity", "name", "labels", "order",
+                           "submonoids"),
+                 "transformation": ("domain", "generators", "close")}
+
+
 def monoid_from_dict(d: dict):
-    """Parse either a Cayley-table document or a transformation document.
+    """Parse a document of the first DOCUMENT_KEYS kind whose mark it holds,
+    refusing the first key, in document order, that the kind does not list.
 
     Returns (monoid, named_subsets).
     """
     if not isinstance(d, dict):
         raise MonoidError("document is not a JSON object")
-    if "table" in d:
+    kind = next((k for k, keys in DOCUMENT_KEYS.items() if keys[0] in d), None)
+    if kind is None:
+        raise MonoidError("document has neither 'table' nor 'domain'")
+    keys = DOCUMENT_KEYS[kind]
+    for key in d:
+        if key not in keys:
+            raise MonoidError(f"a {kind} document takes no "
+                              f"{clipped(repr(key))}: only {', '.join(keys)}")
+    if kind == "table":
         name, labels = d.get("name", "M"), d.get("labels")
         if not isinstance(name, str):
             raise MonoidError(f"name {clipped(repr(name))} is not a string")
@@ -476,35 +492,22 @@ def monoid_from_dict(d: dict):
         subsets = d.get("submonoids", {})
         if not isinstance(subsets, dict):
             raise MonoidError("submonoids is not an object of named subsets")
-        subs = {}
         for name, indices in subsets.items():
             if not isinstance(indices, list):
                 raise MonoidError(
                     f"subset {clipped(repr(name))} is not a list of "
                     f"element indices: {clipped(repr(indices))}")
-            bad = [i for i in indices
-                   if not (_is_index(i) and 0 <= i < m.order)]
-            if bad:
-                raise IndexOutOfRange(
-                    f"subset {clipped(repr(name))}: index "
-                    f"{clipped(repr(bad[0]))} is not an integer in "
-                    f"[0, {m.order})")
-            subs[name] = frozenset(indices)
-        return m, subs
-    if "domain" in d:
-        for key in ("name", "labels", "submonoids"):
-            if key in d:
-                raise MonoidError(f"a transformation document takes no "
-                                  f"{key!r}: only domain, generators, close")
-        maps = d.get("generators")
-        if not (isinstance(maps, list)
-                and all(isinstance(f, list) for f in maps)):
-            raise MonoidError(
-                f"generators {clipped(repr(maps))} is not a list of maps")
-        spec = TransformationSpec(d["domain"], tuple(map(tuple, maps)),
-                                  d.get("close", True))
-        return monoid_from_transformations(spec), {}
-    raise MonoidError("document has neither 'table' nor 'domain'")
+            IndexOutOfRange.check(f"subset {clipped(repr(name))}: index",
+                                  indices, m.order)
+        return m, {name: frozenset(v) for name, v in subsets.items()}
+    maps = d.get("generators")
+    if not (isinstance(maps, list)
+            and all(isinstance(f, list) for f in maps)):
+        raise MonoidError(
+            f"generators {clipped(repr(maps))} is not a list of maps")
+    spec = TransformationSpec(d["domain"], tuple(map(tuple, maps)),
+                              d.get("close", True))
+    return monoid_from_transformations(spec), {}
 
 
 def load_monoid(path: str):

@@ -182,6 +182,8 @@ def test_classify_json_shape_follows_the_option(tmp_path, t2_file, capsys):
     pytest.param(("hunt", "--bound", "-" + "9" * 99),
                  f"--bound -{'9' * 15}...{'9' * 16} must be positive",
                  id="bound-negative-clipped"),
+    # an empty --submonoid is given, so it is refused as a selector
+    (("classify", "T2", "--submonoid", ""), "empty submonoid selector"),
 ])
 def test_bad_arguments_exit_2(t2_file, capsys, args, message):
     args = [t2_file if a == "T2" else a for a in args]
@@ -304,6 +306,14 @@ SHOWN = f"'{'x' * 15}...{'x' * 15}'"
     (dict(Z2, submonoids={LONG: [0, 7]}), f"subset {SHOWN}: index 7"),
     ({"domain": 2, "generators": [[1] * 5000]},
      "generator [1, 1, 1, 1, 1, ..., 1, 1, 1, 1, 1] is not a self-map"),
+    # a table document refuses an unknown key too, 'domain' among them
+    (dict(Z2, submonoid={"x": [0]}),
+     "a table document takes no 'submonoid': only table, identity, name, "
+     "labels, order, submonoids"),
+    (dict(Z2, domain=2), "a table document takes no 'domain'"),
+    ({"domain": 2, "generators": [[1, 1]], "clsoe": False},
+     "a transformation document takes no 'clsoe'"),
+    (dict(Z2, **{LONG: 0}), f"a table document takes no {SHOWN}"),
 ])
 def test_malformed_file_names_the_field(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
@@ -666,6 +676,20 @@ def test_examples_json(capsys):
     code, out, _ = run(capsys, "paper-examples", "--json")
     parsed = json.loads(out)
     assert parsed["passed"] is True
+
+
+def test_failed_example_exits_3(capsys, monkeypatch):
+    from clotkit import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "EXAMPLES",
+                        (("Example 9", lambda: (["  detail"], False)),))
+    code, out, err = run(capsys, "paper-examples")
+    assert code == 3 and out == "Example 9: FAIL\n  detail\n"
+    assert err == "example reproduction failed\n"
+    code, out, err = run(capsys, "paper-examples", "--json")
+    assert code == 3 and err == "example reproduction failed\n"
+    assert json.loads(out) == {"lines": ["Example 9: FAIL", "  detail"],
+                               "passed": False}
 
 
 def test_hunt_small_bound(capsys):
